@@ -106,8 +106,9 @@ class ReleasePipeline {
   // recur — e.g. the sample of a per-run private Θ̃, whose ε-dependent
   // fingerprint no later run shares. Values and rng consumption are
   // identical to the cached paths; the only difference is that nothing
-  // is stored, which keeps the never-evicted StatCache from
-  // accumulating one-off O(N) entries across a sweep.
+  // is stored, which keeps one-off O(N) entries out of the StatCache
+  // across a sweep: without a byte budget they would accumulate, and
+  // under one they would evict reusable entries.
   GraphStatistics ComputeEphemeral(GraphView graph, Rng& rng) const;
   GraphStatistics ExpectedEphemeral(const Initiator2& theta, uint32_t k,
                                     uint32_t realizations, Rng& rng) const;

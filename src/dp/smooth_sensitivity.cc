@@ -68,122 +68,126 @@ FarPair MaxFarPairDegreeSum(GraphView graph, uint64_t budget,
   return {};  // diameter ≤ 2: no far pairs at all
 }
 
-// Sorts candidates by a desc then b desc and reduces them in place to
-// their Pareto frontier (strictly rising b along falling a). Applying
-// this per chunk before the global merge is sound — and idempotent —
-// because the frontier of a union equals the frontier of the union of
-// the parts' frontiers; it is what keeps the final serial sort off the
-// critical path (the raw class-1 candidate list is O(Σ_w deg(w)²)).
-void ReduceToFrontier(std::vector<std::pair<uint64_t, uint64_t>>* candidates) {
-  std::sort(candidates->begin(), candidates->end(),
-            [](const auto& x, const auto& y) {
-              return x.first != y.first ? x.first > y.first
-                                        : x.second > y.second;
-            });
-  std::vector<std::pair<uint64_t, uint64_t>> frontier;
-  uint64_t best_b = 0;
-  bool first = true;
-  for (const auto& [a, b] : *candidates) {
-    if (first || b > best_b) {
-      frontier.emplace_back(a, b);
-      best_b = b;
-      first = false;
+// The Pareto frontier of a stream of (a, b) candidates, accumulated
+// without storing or sorting them: a is a common-neighbour count (at most
+// the maximum degree), so a dense array keeps the largest b seen per a.
+// The frontier is a pure function of the candidate set — max is
+// order-independent — so per-worker accumulators merge to the same
+// frontier at any thread count.
+class FrontierAccumulator {
+ public:
+  void Add(uint64_t a, uint64_t b) {
+    if (a >= best_.size()) best_.resize(a + 1, 0);
+    best_[a] = std::max(best_[a], b + 1);
+  }
+
+  void Merge(const FrontierAccumulator& other) {
+    if (other.best_.size() > best_.size()) best_.resize(other.best_.size(), 0);
+    for (size_t a = 0; a < other.best_.size(); ++a) {
+      best_[a] = std::max(best_[a], other.best_[a]);
     }
   }
-  *candidates = std::move(frontier);
-}
+
+  // The Pareto-maximal candidates: a descending, b strictly rising.
+  std::vector<std::pair<uint64_t, uint64_t>> Frontier() const {
+    std::vector<std::pair<uint64_t, uint64_t>> frontier;
+    for (size_t a = best_.size(); a-- > 0;) {
+      if (best_[a] == 0) continue;
+      const uint64_t b = best_[a] - 1;
+      if (frontier.empty() || b > frontier.back().second) {
+        frontier.emplace_back(a, b);
+      }
+    }
+    return frontier;
+  }
+
+ private:
+  std::vector<uint64_t> best_;  // 1 + largest b per a; 0 = no candidate
+};
 
 }  // namespace
 
 TriangleSensitivityProfile::TriangleSensitivityProfile(GraphView graph)
     : num_nodes_(graph.NumNodes()) {
   const uint32_t n = num_nodes_;
-  std::vector<std::pair<uint64_t, uint64_t>> candidates;
+  FrontierAccumulator frontier;
 
   if (n >= 2) {
-    // Class 1 — exact (a, b) for every pair with a common neighbor,
-    // enumerated per source node with a stamped counter (no pair map).
-    // Source nodes are chunked across the pool; each worker owns one
-    // stamped-counter buffer (candidate values depend only on the graph,
-    // so buffer reuse across chunks is harmless), and per-chunk candidate
-    // vectors are concatenated in chunk-index order so the final list —
-    // and everything downstream — is thread-count invariant.
+    // Classes 1 and 2, enumerated per source node i with stamped
+    // counters (no pair map). Source nodes are chunked across the pool;
+    // each worker owns one set of buffers (candidate values depend only
+    // on the graph, so reuse across chunks is harmless) and one frontier
+    // accumulator, merged below.
     constexpr size_t kGrain = 256;
-    struct StampedCounters {
-      std::vector<uint32_t> common;
-      std::vector<uint32_t> stamp;
+    // One cache line apart: `current` is written once per source node.
+    struct alignas(64) WorkerScratch {
+      std::vector<uint32_t> common;    // common neighbours of (i, j)
+      std::vector<uint32_t> stamp;     // common[j] is live for source i
+      std::vector<uint32_t> neighbor;  // == current iff j ∈ N(i)
       std::vector<Graph::NodeId> touched;
       uint32_t current = 0;
+      FrontierAccumulator frontier;
     };
-    std::vector<StampedCounters> buffers(ParallelThreadCount());
-    std::vector<std::vector<std::pair<uint64_t, uint64_t>>> chunk_candidates(
-        ParallelChunkCount(n, kGrain));
+    std::vector<WorkerScratch> workers(ParallelThreadCount());
     ParallelForChunks(n, kGrain, [&](const ParallelChunk& chunk) {
-      StampedCounters& buf = buffers[chunk.worker];
-      if (buf.stamp.size() != n) {
+      WorkerScratch& w = workers[chunk.worker];
+      if (w.stamp.size() != n) {
         // First chunk this worker runs: initialize its buffers here, in
         // the parallel section, and only for workers actually scheduled
         // (pre-zeroing every slot would cost O(threads·N) serially).
-        buf.common.assign(n, 0);
-        buf.stamp.assign(n, 0);
+        w.common.assign(n, 0);
+        w.stamp.assign(n, 0);
+        w.neighbor.assign(n, 0);
       }
-      auto& out = chunk_candidates[chunk.index];
       for (size_t node = chunk.begin; node < chunk.end; ++node) {
         const Graph::NodeId i = static_cast<Graph::NodeId>(node);
-        ++buf.current;
-        buf.touched.clear();
-        for (Graph::NodeId w : graph.Neighbors(i)) {
-          for (Graph::NodeId j : graph.Neighbors(w)) {
+        const uint64_t deg_i = graph.Degree(i);
+        ++w.current;
+        w.touched.clear();
+        // Class 2 — every edge {i, v}, v > i: (0, d_i + d_v − 2). For
+        // adjacent pairs with common neighbours the profile is dominated
+        // by their exact class-1 entry (a shifts it up by at least as
+        // much as the larger b would); for adjacent pairs without common
+        // neighbours it IS the exact value. Only the largest b can be on
+        // the frontier, so the accumulator keeps just that.
+        for (Graph::NodeId v : graph.Neighbors(i)) {
+          if (v <= i) continue;
+          w.neighbor[v] = w.current;
+          w.frontier.Add(0, deg_i + graph.Degree(v) - 2);
+        }
+        // Class 1 — exact (a, b) for every pair j > i with a common
+        // neighbour.
+        for (Graph::NodeId mid : graph.Neighbors(i)) {
+          for (Graph::NodeId j : graph.Neighbors(mid)) {
             if (j <= i) continue;  // each unordered pair once
-            if (buf.stamp[j] != buf.current) {
-              buf.stamp[j] = buf.current;
-              buf.common[j] = 0;
-              buf.touched.push_back(j);
+            if (w.stamp[j] != w.current) {
+              w.stamp[j] = w.current;
+              w.common[j] = 0;
+              w.touched.push_back(j);
             }
-            ++buf.common[j];
+            ++w.common[j];
           }
         }
-        const uint64_t deg_i = graph.Degree(i);
-        for (Graph::NodeId j : buf.touched) {
-          const uint64_t a = buf.common[j];
-          const uint64_t deg_j = graph.Degree(j);
-          const uint64_t adjacent = graph.HasEdge(i, j) ? 1 : 0;
+        for (Graph::NodeId j : w.touched) {
+          const uint64_t a = w.common[j];
+          const uint64_t adjacent = w.neighbor[j] == w.current ? 1 : 0;
           // deg_i + deg_j double-counts the a common neighbors and counts
           // j∈N(i), i∈N(j) when adjacent.
-          const uint64_t b = deg_i + deg_j - 2 * a - 2 * adjacent;
-          out.emplace_back(a, b);
+          w.frontier.Add(a, deg_i + graph.Degree(j) - 2 * a - 2 * adjacent);
         }
       }
-      // Chunk-local Pareto reduction: shrinks the merge from
-      // O(Σ deg²) raw pairs to a handful per chunk, and moves the
-      // sort work into the parallel section.
-      ReduceToFrontier(&out);
     });
-    for (const auto& chunk : chunk_candidates) {
-      candidates.insert(candidates.end(), chunk.begin(), chunk.end());
-    }
-
-    // Class 2 — every edge: (0, d_u + d_v − 2). For adjacent pairs with
-    // common neighbors this candidate is dominated by their exact class-1
-    // entry (a shifts the profile up by at least as much as the larger b
-    // would); for adjacent pairs without common neighbors it IS the exact
-    // value. Either way exactness of the max is preserved.
-    graph.ForEachEdge([&](Graph::NodeId u, Graph::NodeId v) {
-      candidates.emplace_back(
-          0, uint64_t{graph.Degree(u)} + graph.Degree(v) - 2);
-    });
+    for (const WorkerScratch& w : workers) frontier.Merge(w.frontier);
 
     // Class 3 — pairs at distance > 2 have a = 0, b = d_i + d_j exactly.
     // A far pair with degree sum 0 still matters: s flips can build
     // ⌊s/2⌋ common neighbors for it (this is the whole profile of an
     // empty graph).
     const FarPair far = MaxFarPairDegreeSum(graph, /*budget=*/50000, &exact_);
-    if (far.found) candidates.emplace_back(0, far.degree_sum);
+    if (far.found) frontier.Add(0, far.degree_sum);
   }
 
-  // Global Pareto frontier over the (already chunk-reduced) candidates.
-  ReduceToFrontier(&candidates);
-  frontier_ = std::move(candidates);
+  frontier_ = frontier.Frontier();
 }
 
 uint64_t TriangleSensitivityProfile::LocalSensitivityAtDistance(

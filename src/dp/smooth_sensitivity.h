@@ -17,7 +17,8 @@
 // proof needs). Pairs fall into three classes:
 //   * distance ≤ 2 with a common neighbor — enumerated exactly;
 //   * adjacent — covered exactly by the dominated-or-exact candidate
-//     (0, d_u + d_v − 2) per edge;
+//     (0, d_u + d_v − 2) per edge, of which only the largest can be on
+//     the frontier;
 //   * distance > 2 — a = 0 and b = d_i + d_j exactly, so only the
 //     maximum degree sum over far pairs matters; found exactly by
 //     best-first enumeration of degree-sorted pairs. If that enumeration
@@ -40,10 +41,12 @@ namespace dpkron {
 // The per-distance local-sensitivity profile of ∆ at a fixed graph.
 class TriangleSensitivityProfile {
  public:
-  // Computes the profile of `graph` (O(Σ_w deg(w)²) work, chunked
-  // across the thread pool with one stamped-counter buffer per worker —
-  // O(threads·N) memory — and a chunk-ordered candidate merge, so the
-  // profile is identical at any thread count).
+  // Computes the profile of `graph`: O(Σ_w deg(w)²) work, chunked across
+  // the thread pool. Candidates are never stored or sorted: each worker
+  // keeps three stamped N-entry counters (O(threads·N) memory) and a
+  // largest-b-per-a array of at most max_degree + 1 entries, and those
+  // arrays merge by max, so the profile is identical at any thread
+  // count.
   explicit TriangleSensitivityProfile(GraphView graph);
 
   // Reassembles a profile from its serialized parts — the decode path of

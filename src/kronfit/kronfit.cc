@@ -2,21 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/macros.h"
 #include "src/common/parallel.h"
 #include "src/common/stat_cache.h"
 #include "src/estimation/kronmom.h"
-#include "src/graph/graph_builder.h"
 
 namespace dpkron {
 
-Graph PadWithIsolatedNodes(GraphView graph, uint32_t num_nodes) {
+GraphView PadWithIsolatedNodes(GraphView graph, uint32_t num_nodes,
+                               std::vector<uint32_t>* offsets) {
   DPKRON_CHECK_GE(num_nodes, graph.NumNodes());
-  GraphBuilder builder(num_nodes);
-  graph.ForEachEdge(
-      [&builder](Graph::NodeId u, Graph::NodeId v) { builder.AddEdge(u, v); });
-  return builder.Build();
+  if (num_nodes == graph.NumNodes()) return graph;
+  const std::span<const uint32_t> original = graph.Offsets();
+  offsets->assign(original.begin(), original.end());
+  offsets->resize(size_t{num_nodes} + 1, original.back());
+  return GraphView(*offsets, graph.Adjacency(), /*fingerprint_memo=*/nullptr);
 }
 
 namespace {
@@ -48,23 +50,24 @@ MetropolisChains::MetropolisChains(GraphView graph, uint32_t k,
     : graph_(graph) {
   DPKRON_CHECK_GE(num_chains, 1u);
   DPKRON_CHECK_EQ(graph.NumNodes(), uint64_t{1} << k);
-  rngs_ = SplitRngStreams(rng, num_chains);
+  std::vector<Rng> streams = SplitRngStreams(rng, num_chains);
   const PermutationState init = DegreeGuidedInit(graph, k);
   chains_.reserve(num_chains);
-  for (uint32_t c = 0; c < num_chains; ++c) chains_.push_back(init);
+  for (Rng& stream : streams) chains_.push_back({init, std::move(stream)});
   // Jitter every chain but the first with its own stream (n/4 random
   // transpositions): overdispersed starts decorrelate the bank without
   // costing chain 0 the degree-guided head start.
   ParallelFor(num_chains, 1, [&](size_t c) {
     if (c == 0) return;
-    PerturbUniform(&chains_[c], graph.NumNodes() / 4, rngs_[c]);
+    PerturbUniform(&chains_[c].sigma, graph.NumNodes() / 4, chains_[c].rng);
   });
 }
 
 void MetropolisChains::Advance(const KronFitLikelihood& model,
                                uint64_t swaps_per_chain) {
   ParallelFor(chains_.size(), 1, [&](size_t c) {
-    RunSwaps(graph_, model, &chains_[c], rngs_[c], swaps_per_chain);
+    RunSwaps(graph_, model, &chains_[c].sigma, chains_[c].rng,
+             swaps_per_chain);
   });
 }
 
@@ -75,8 +78,9 @@ Gradient3 MetropolisChains::SampleGradient(const KronFitLikelihood& model,
   // matches its 1-thread evaluation bit for bit.
   std::vector<Gradient3> grads(chains_.size());
   ParallelFor(chains_.size(), 1, [&](size_t c) {
-    RunSwaps(graph_, model, &chains_[c], rngs_[c], swaps_per_chain);
-    grads[c] = model.EdgeGradient(graph_, chains_[c]);
+    RunSwaps(graph_, model, &chains_[c].sigma, chains_[c].rng,
+             swaps_per_chain);
+    grads[c] = model.EdgeGradient(graph_, chains_[c].sigma);
   });
   Gradient3 mean{0.0, 0.0, 0.0};
   for (const Gradient3& grad : grads) {
@@ -90,7 +94,7 @@ double MetropolisChains::BestLogLikelihood(
     const KronFitLikelihood& model) const {
   std::vector<double> lls(chains_.size());
   ParallelFor(chains_.size(), 1, [&](size_t c) {
-    lls[c] = model.LogLikelihood(graph_, chains_[c]);
+    lls[c] = model.LogLikelihood(graph_, chains_[c].sigma);
   });
   double best = lls[0];
   for (double ll : lls) best = std::max(best, ll);
@@ -102,14 +106,10 @@ KronFitResult FitKronFit(GraphView graph, Rng& rng,
   DPKRON_CHECK_GE(graph.NumNodes(), 2u);
   const uint32_t k = ChooseKroneckerOrder(graph.NumNodes());
   const uint32_t n = uint32_t{1} << k;
-  // Views don't own: when padding is needed, the padded Graph lives here
-  // so the chain bank's view of it stays valid for the whole fit.
-  Graph padded_storage;
-  GraphView padded = graph;
-  if (graph.NumNodes() != n) {
-    padded_storage = PadWithIsolatedNodes(graph, n);
-    padded = padded_storage;
-  }
+  // Views don't own: the padded offsets live here so the chain bank's
+  // view stays valid for the whole fit.
+  std::vector<uint32_t> padded_offsets;
+  const GraphView padded = PadWithIsolatedNodes(graph, n, &padded_offsets);
 
   Initiator2 theta = options.init.Clamped(0.005, 0.995);
   const uint32_t num_chains = std::max(options.samples_per_iteration, 1u);

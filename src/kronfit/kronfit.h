@@ -74,7 +74,7 @@ class MetropolisChains {
   uint32_t num_chains() const {
     return static_cast<uint32_t>(chains_.size());
   }
-  const PermutationState& chain(uint32_t c) const { return chains_[c]; }
+  const PermutationState& chain(uint32_t c) const { return chains_[c].sigma; }
 
   // Advances every chain by `swaps_per_chain` Metropolis steps under
   // `model` (chains fan across the pool; each chain is serial).
@@ -91,9 +91,16 @@ class MetropolisChains {
   double BestLogLikelihood(const KronFitLikelihood& model) const;
 
  private:
+  // One chain's state on its own cache line: chains on different
+  // workers write their streams on every draw, and packed 48-byte Rngs
+  // would share lines between them.
+  struct alignas(64) Chain {
+    PermutationState sigma;
+    Rng rng;  // stream c drives chain c, whatever the worker
+  };
+
   GraphView graph_;  // non-owning; the padded graph outlives the bank
-  std::vector<PermutationState> chains_;
-  std::vector<Rng> rngs_;  // stream c drives chain c, whatever the worker
+  std::vector<Chain> chains_;
 };
 
 // Fits Θ to `graph`. The graph is padded to 2^k nodes internally with
@@ -111,9 +118,15 @@ KronFitResult FitKronFit(GraphView graph, Rng& rng,
 KronFitResult FitKronFitCached(GraphView graph, Rng& rng,
                                const KronFitOptions& options = {});
 
-// `graph` with isolated nodes appended until NumNodes() == num_nodes.
-// Requires num_nodes >= graph.NumNodes().
-Graph PadWithIsolatedNodes(GraphView graph, uint32_t num_nodes);
+// `graph` with isolated nodes appended until NumNodes() == num_nodes,
+// without copying an edge: appended nodes have no edges, so the result
+// views graph's adjacency through `*offsets`, which receives graph's
+// offsets extended to num_nodes + 1 entries. The view is valid while
+// both `graph`'s storage and `*offsets` are. Returns `graph` itself, and
+// leaves `*offsets` alone, when no padding is needed. Requires
+// num_nodes >= graph.NumNodes().
+GraphView PadWithIsolatedNodes(GraphView graph, uint32_t num_nodes,
+                               std::vector<uint32_t>* offsets);
 
 }  // namespace dpkron
 

@@ -7,19 +7,17 @@
 
 namespace dpkron {
 
-PermutationState::PermutationState(uint32_t n)
-    : sigma_(n), inverse_(n) {
+PermutationState::PermutationState(uint32_t n) : sigma_(n) {
   std::iota(sigma_.begin(), sigma_.end(), 0u);
-  std::iota(inverse_.begin(), inverse_.end(), 0u);
 }
 
 PermutationState::PermutationState(std::vector<uint32_t> sigma)
-    : sigma_(std::move(sigma)), inverse_(sigma_.size(), UINT32_MAX) {
-  for (uint32_t u = 0; u < sigma_.size(); ++u) {
-    DPKRON_CHECK_LT(sigma_[u], sigma_.size());
-    DPKRON_CHECK_MSG(inverse_[sigma_[u]] == UINT32_MAX,
-                     "sigma is not a permutation");
-    inverse_[sigma_[u]] = u;
+    : sigma_(std::move(sigma)) {
+  std::vector<bool> taken(sigma_.size(), false);
+  for (uint32_t position : sigma_) {
+    DPKRON_CHECK_LT(position, sigma_.size());
+    DPKRON_CHECK_MSG(!taken[position], "sigma is not a permutation");
+    taken[position] = true;
   }
 }
 
@@ -27,8 +25,6 @@ void PermutationState::SwapNodes(uint32_t u, uint32_t v) {
   DPKRON_CHECK_LT(u, sigma_.size());
   DPKRON_CHECK_LT(v, sigma_.size());
   std::swap(sigma_[u], sigma_[v]);
-  inverse_[sigma_[u]] = u;
-  inverse_[sigma_[v]] = v;
 }
 
 PermutationState DegreeGuidedInit(GraphView graph, uint32_t k) {

@@ -16,7 +16,8 @@
 
 namespace dpkron {
 
-// σ and σ⁻¹ with O(1) swap application.
+// σ (node -> Kronecker position) with O(1) swap application. Nothing
+// on the sampling path maps positions back to nodes, so σ⁻¹ is not kept.
 class PermutationState {
  public:
   // Identity permutation on n elements.
@@ -28,8 +29,6 @@ class PermutationState {
 
   // Position of node u in the Kronecker id space.
   uint32_t Position(uint32_t u) const { return sigma_[u]; }
-  // Node occupying Kronecker position p.
-  uint32_t NodeAt(uint32_t p) const { return inverse_[p]; }
 
   // Exchanges the positions of nodes u and v.
   void SwapNodes(uint32_t u, uint32_t v);
@@ -37,8 +36,7 @@ class PermutationState {
   const std::vector<uint32_t>& sigma() const { return sigma_; }
 
  private:
-  std::vector<uint32_t> sigma_;    // node -> position
-  std::vector<uint32_t> inverse_;  // position -> node
+  std::vector<uint32_t> sigma_;  // node -> position
 };
 
 // Degree-guided initial alignment: the SKG expected degree of Kronecker

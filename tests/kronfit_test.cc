@@ -1,10 +1,13 @@
 #include "src/kronfit/kronfit.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 #include "src/common/rng.h"
+#include "src/graph/graph_builder.h"
 #include "src/kronfit/likelihood.h"
 #include "src/kronfit/permutation.h"
 #include "src/skg/sampler.h"
@@ -19,16 +22,15 @@ TEST(PermutationStateTest, IdentityAndSwaps) {
   sigma.SwapNodes(0, 3);
   EXPECT_EQ(sigma.Position(0), 3u);
   EXPECT_EQ(sigma.Position(3), 0u);
-  EXPECT_EQ(sigma.NodeAt(3), 0u);
-  EXPECT_EQ(sigma.NodeAt(0), 3u);
+  EXPECT_EQ(sigma.Position(1), 1u);
+  EXPECT_EQ(sigma.Position(2), 2u);
   sigma.SwapNodes(0, 3);
   for (uint32_t u = 0; u < 4; ++u) EXPECT_EQ(sigma.Position(u), u);
 }
 
 TEST(PermutationStateTest, ExplicitMappingValidated) {
   PermutationState sigma({2, 0, 1});
-  EXPECT_EQ(sigma.Position(0), 2u);
-  EXPECT_EQ(sigma.NodeAt(2), 0u);
+  EXPECT_EQ(sigma.sigma(), (std::vector<uint32_t>{2, 0, 1}));
 }
 
 TEST(PermutationStateDeathTest, RejectsNonPermutation) {
@@ -36,8 +38,10 @@ TEST(PermutationStateDeathTest, RejectsNonPermutation) {
 }
 
 TEST(DegreeGuidedInitTest, HighestDegreeGetsLowestPopcount) {
-  const Graph g = PadWithIsolatedNodes(testing::StarGraph(5), 8);
-  const PermutationState sigma = DegreeGuidedInit(g, 3);
+  const Graph star = testing::StarGraph(5);
+  std::vector<uint32_t> offsets;
+  const PermutationState sigma =
+      DegreeGuidedInit(PadWithIsolatedNodes(star, 8, &offsets), 3);
   EXPECT_EQ(sigma.Position(0), 0u);  // center (degree 4) -> position 0
 }
 
@@ -176,12 +180,33 @@ TEST(LikelihoodTest, NoEdgeGradientMatchesFiniteDifferences) {
               1e-4 * std::fabs(analytic[2]) + 1e-4);
 }
 
+// The padded view must be exactly the CSR a GraphBuilder builds for the
+// same edges over the larger node set.
 TEST(PadWithIsolatedNodesTest, PreservesEdges) {
-  const Graph g = testing::CycleGraph(5);
-  const Graph padded = PadWithIsolatedNodes(g, 8);
-  EXPECT_EQ(padded.NumNodes(), 8u);
-  EXPECT_EQ(padded.NumEdges(), 5u);
-  EXPECT_EQ(padded.Degree(7), 0u);
+  Rng rng(77);
+  const Graph graphs[] = {testing::CycleGraph(5), testing::StarGraph(9),
+                          testing::MakeGraph(3, {}),
+                          SampleSkg({0.9, 0.5, 0.2}, 6, rng)};
+  for (const Graph& g : graphs) {
+    for (uint32_t extra : {0u, 1u, 7u}) {
+      const uint32_t n = g.NumNodes() + extra;
+      GraphBuilder builder(n);
+      g.ForEachEdge([&builder](Graph::NodeId u, Graph::NodeId v) {
+        builder.AddEdge(u, v);
+      });
+      const Graph expected = builder.Build();
+      std::vector<uint32_t> offsets;
+      const GraphView padded = PadWithIsolatedNodes(g, n, &offsets);
+      ASSERT_EQ(padded.NumNodes(), n);
+      EXPECT_TRUE(std::ranges::equal(padded.Offsets(), expected.Offsets()))
+          << g.NumNodes() << " + " << extra;
+      EXPECT_TRUE(
+          std::ranges::equal(padded.Adjacency(), expected.Adjacency()));
+      EXPECT_EQ(padded.ContentFingerprint(), expected.ContentFingerprint());
+      // Zero-copy: the padded view reads the original adjacency.
+      EXPECT_EQ(padded.Adjacency().data(), g.Adjacency().data());
+    }
+  }
 }
 
 TEST(KronFitTest, RecoversDensityOnSyntheticGraph) {

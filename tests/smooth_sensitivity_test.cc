@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/graph/graph_builder.h"
 #include "src/graph/triangles.h"
@@ -166,6 +168,121 @@ TEST_P(ProfileBruteForceTest, MatchesExhaustiveSearch) {
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, ProfileBruteForceTest,
                          ::testing::Range(0u, 25u));
+
+// ---------------------------------------------------------------------------
+// Brute force beyond 5 nodes: the frontier itself, on 50–200-node graphs.
+// ---------------------------------------------------------------------------
+
+using Candidates = std::vector<std::pair<uint64_t, uint64_t>>;
+
+// Pareto frontier in the profile's order: a descending, b strictly rising.
+Candidates ParetoFrontier(Candidates candidates) {
+  std::sort(candidates.begin(), candidates.end(),
+            [](const auto& x, const auto& y) {
+              return x.first != y.first ? x.first > y.first
+                                        : x.second > y.second;
+            });
+  Candidates frontier;
+  for (const auto& candidate : candidates) {
+    if (frontier.empty() || candidate.second > frontier.back().second) {
+      frontier.push_back(candidate);
+    }
+  }
+  return frontier;
+}
+
+// (a_ij, b_ij) of every pair straight from the definitions, over a dense
+// adjacency matrix: a counts nodes adjacent to both, b nodes adjacent to
+// exactly one (excluding i and j).
+Candidates BrutePairs(const Graph& g) {
+  const uint32_t n = g.NumNodes();
+  std::vector<std::vector<bool>> adj(n, std::vector<bool>(n, false));
+  g.ForEachEdge([&adj](Graph::NodeId u, Graph::NodeId v) {
+    adj[u][v] = adj[v][u] = true;
+  });
+  Candidates pairs;
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t j = i + 1; j < n; ++j) {
+      uint64_t a = 0, b = 0;
+      for (uint32_t k = 0; k < n; ++k) {
+        if (k == i || k == j) continue;
+        a += adj[i][k] && adj[j][k];
+        b += adj[i][k] != adj[j][k];
+      }
+      pairs.emplace_back(a, b);
+    }
+  }
+  return pairs;
+}
+
+Graph RandomGraph(uint32_t n, double p, Rng& rng) {
+  GraphBuilder builder(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t j = i + 1; j < n; ++j) {
+      if (rng.NextBernoulli(p)) builder.AddEdge(i, j);
+    }
+  }
+  return builder.Build();
+}
+
+// A sparse background plus a few hubs that reach most nodes: large
+// common-neighbour counts and a wide spread of degree sums.
+Graph HubHeavyGraph(uint32_t n, uint32_t hubs, Rng& rng) {
+  GraphBuilder builder(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t j = i + 1; j < n; ++j) {
+      if (rng.NextBernoulli(i < hubs ? 0.6 : 0.02)) builder.AddEdge(i, j);
+    }
+  }
+  return builder.Build();
+}
+
+TEST(ProfileFrontierTest, MatchesBruteForceOnMediumGraphs) {
+  Rng rng(2012);
+  std::vector<Graph> graphs;
+  graphs.push_back(RandomGraph(50, 0.1, rng));
+  graphs.push_back(RandomGraph(80, 0.3, rng));  // diameter 2: no far pair
+  graphs.push_back(RandomGraph(120, 0.04, rng));
+  graphs.push_back(RandomGraph(200, 0.015, rng));  // several components
+  graphs.push_back(HubHeavyGraph(150, 3, rng));
+  graphs.push_back(HubHeavyGraph(200, 1, rng));
+  graphs.push_back(SampleSkg({0.9, 0.5, 0.2}, 6, rng));
+  graphs.push_back(SampleSkg({0.95, 0.55, 0.3}, 7, rng));
+  graphs.push_back(SampleSkg({0.99, 0.6, 0.1}, 7, rng));
+  graphs.push_back(SampleSkg({0.8, 0.6, 0.4}, 7, rng));
+
+  const int saved_threads = ParallelThreadCount();
+  for (size_t index = 0; index < graphs.size(); ++index) {
+    const Graph& g = graphs[index];
+    const Candidates pairs = BrutePairs(g);
+    // The profile also keeps one surrogate per edge, (0, d_u + d_v − 2):
+    // the exact value of an adjacent pair without common neighbours, and
+    // dominated in every LS^(s) by the exact entry of one with them. So
+    // the frontier is that of the pairs plus the surrogates, and the
+    // pairs alone must give the same LS^(s) at every distance.
+    Candidates with_surrogates = pairs;
+    g.ForEachEdge([&](Graph::NodeId u, Graph::NodeId v) {
+      with_surrogates.emplace_back(
+          0, uint64_t{g.Degree(u)} + g.Degree(v) - 2);
+    });
+    const Candidates expected = ParetoFrontier(with_surrogates);
+    const TriangleSensitivityProfile pairs_only(g.NumNodes(), true,
+                                                ParetoFrontier(pairs));
+    for (int threads : {1, 2, 8}) {
+      SetParallelThreadCount(threads);
+      const TriangleSensitivityProfile profile(g);
+      EXPECT_TRUE(profile.exact()) << "graph " << index;
+      EXPECT_EQ(profile.frontier(), expected)
+          << "graph " << index << " at " << threads << " threads";
+      for (uint64_t s = 0; s <= 2 * g.NumNodes(); s += 7) {
+        ASSERT_EQ(profile.LocalSensitivityAtDistance(s),
+                  pairs_only.LocalSensitivityAtDistance(s))
+            << "graph " << index << " s " << s;
+      }
+    }
+  }
+  SetParallelThreadCount(saved_threads);
+}
 
 // ---------------------------------------------------------------------------
 // Smooth sensitivity.
