@@ -31,19 +31,23 @@ size_t IntersectAvx2(const uint32_t* a, size_t a_len, const uint32_t* b,
 // the AVX2 translation unit so the ISA boundary is crossed once per
 // chunk, not once per intersection (per-call transitions leave dirty
 // ymm uppers that poison the caller's legacy-SSE code with false
-// dependencies). `offsets`/`targets` are the forward-oriented CSR
-// (triangles.cc); both functions cover the apex rows [begin, end).
+// dependencies). `starts`/`ends`/`targets` are the slot-based forward
+// orientation (internal::ForwardCsr, triangles.h): node x's forward
+// list is targets[starts[x], ends[x]). Both functions cover the apex
+// rows [begin, end); an apex whose forward list fits one 8-lane block
+// loads that block once for all of its pairs.
 
 // Σ |forward[u] ∩ forward[v]| over u ∈ [begin, end), v ∈ forward[u] —
 // the triangle count whose lowest-rank apex lies in the range.
-uint64_t CountTrianglesChunkAvx2(const uint32_t* offsets,
+uint64_t CountTrianglesChunkAvx2(const uint32_t* starts,
+                                 const uint32_t* ends,
                                  const uint32_t* targets, size_t begin,
                                  size_t end);
 
 // Adds each triangle with apex in [begin, end) to all three of its
 // corners in `counts` (length n, caller-owned accumulator). `scratch`
 // holds intersection outputs; capacity ≥ the longest forward list.
-void PerNodeTrianglesChunkAvx2(const uint32_t* offsets,
+void PerNodeTrianglesChunkAvx2(const uint32_t* starts, const uint32_t* ends,
                                const uint32_t* targets, size_t begin,
                                size_t end, uint64_t* counts,
                                uint32_t* scratch);

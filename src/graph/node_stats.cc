@@ -9,9 +9,9 @@ NodeStats ComputeNodeStats(GraphView graph) {
   NodeStats stats;
   // One sweep of the view's adjacency builds the forward orientation
   // AND the degree vector; the triangle intersections then run over the
-  // compact in-RAM forward CSR, never re-reading the backing store.
+  // in-RAM forward CSR, never re-reading the backing store.
   const internal::ForwardCsr fwd =
-      internal::BuildForwardCsrFused(graph, &stats.degrees);
+      internal::BuildForward(graph, &stats.degrees);
   stats.triangles =
       internal::PerNodeTrianglesFromForward(fwd, graph.NumNodes());
   return stats;

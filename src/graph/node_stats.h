@@ -6,7 +6,7 @@
 // numerator). Computed separately, each kernel walks the CSR once;
 // fused, a single traversal derives the degrees from the offsets array
 // and builds the rank-oriented forward lists whose intersections yield
-// t_u — the intersections then run over the compact forward CSR, not
+// t_u — the intersections then run over the in-RAM forward CSR, not
 // the view, so the whole family costs ONE pass over the backing store.
 // That is the difference between touching an out-of-core graph's pages
 // once and touching them three times.

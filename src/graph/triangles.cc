@@ -1,6 +1,7 @@
 #include "src/graph/triangles.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "src/common/parallel.h"
 #include "src/common/simd.h"
@@ -11,55 +12,36 @@ namespace {
 
 using internal::ForwardCsr;
 
-// Rank nodes by (degree, id); orienting every edge from lower to higher
-// rank makes each triangle counted exactly once and bounds the forward
-// out-degree by O(sqrt(m)).
-struct RankOrder {
-  GraphView graph;
-  bool Less(Graph::NodeId a, Graph::NodeId b) const {
-    const uint32_t da = graph.Degree(a), db = graph.Degree(b);
-    return da != db ? da < db : a < b;
-  }
-};
-
 // Chunk size for the enumeration loops: small, because hub nodes make
 // per-node work heavily skewed and the pool's dynamic chunk claiming is
 // the load balancer.
 constexpr size_t kNodeGrain = 64;
 
-// forward[u] = neighbors of u with higher rank, sorted by node id.
-// Per-node independent, so the fill parallelizes directly.
-std::vector<std::vector<Graph::NodeId>> BuildForwardLists(GraphView graph) {
-  const RankOrder rank{graph};
-  const uint32_t n = graph.NumNodes();
-  std::vector<std::vector<Graph::NodeId>> forward(n);
-  ParallelFor(n, kNodeGrain, [&](size_t u_index) {
-    const auto u = static_cast<Graph::NodeId>(u_index);
-    for (Graph::NodeId v : graph.Neighbors(u)) {
-      if (rank.Less(u, v)) forward[u_index].push_back(v);
-    }
-  });
-  return forward;
-}
+// Chunk size for the forward build and the per-node merge: per-node
+// work there is one adjacency row (or one column of worker counts), so
+// this only needs to be coarse enough to amortize chunk claiming while
+// still splitting a few-thousand-node graph across every worker.
+constexpr size_t kBuildGrain = 512;
 
-// Enumerates the triangles whose lowest-rank apex lies in [begin, end):
-// sorted-merge intersection of forward[u] and forward[v].
+// Scalar sorted-merge enumeration of the triangles whose lowest-rank
+// apex lies in [begin, end): forward[u] ∩ forward[v] for v ∈ forward[u].
 template <typename OnTriangle>
-void ForEachTriangleInRange(
-    const std::vector<std::vector<Graph::NodeId>>& forward, size_t begin,
-    size_t end, OnTriangle&& on_triangle) {
+void ForEachForwardTriangle(const ForwardCsr& fwd, size_t begin, size_t end,
+                            OnTriangle&& on_triangle) {
+  const Graph::NodeId* targets = fwd.targets.get();
   for (size_t u = begin; u < end; ++u) {
-    const auto& fu = forward[u];
-    for (Graph::NodeId v : fu) {
-      const auto& fv = forward[v];
-      size_t i = 0, j = 0;
-      while (i < fu.size() && j < fv.size()) {
-        if (fu[i] < fv[j]) {
+    const uint32_t fu_begin = fwd.starts[u], fu_end = fwd.ends[u];
+    for (uint32_t vi = fu_begin; vi < fu_end; ++vi) {
+      const Graph::NodeId v = targets[vi];
+      uint32_t i = fu_begin, j = fwd.starts[v];
+      const uint32_t j_end = fwd.ends[v];
+      while (i < fu_end && j < j_end) {
+        if (targets[i] < targets[j]) {
           ++i;
-        } else if (fu[i] > fv[j]) {
+        } else if (targets[i] > targets[j]) {
           ++j;
         } else {
-          on_triangle(static_cast<Graph::NodeId>(u), v, fu[i]);
+          on_triangle(static_cast<Graph::NodeId>(u), v, targets[i]);
           ++i;
           ++j;
         }
@@ -68,66 +50,40 @@ void ForEachTriangleInRange(
   }
 }
 
-// Two-sweep flattened build (count, then fill): no per-node allocation,
-// the fastest route when the adjacency is RAM-resident. The fused
-// kernel uses BuildForwardCsrFused below instead, which reads the
-// view's adjacency exactly once.
-ForwardCsr BuildForwardCsr(GraphView graph) {
-  const RankOrder rank{graph};
-  const uint32_t n = graph.NumNodes();
-  ForwardCsr fwd;
-  fwd.offsets.assign(size_t{n} + 1, 0);
-  ParallelFor(n, 4096, [&](size_t u_index) {
-    const auto u = static_cast<Graph::NodeId>(u_index);
-    uint32_t count = 0;
-    for (Graph::NodeId v : graph.Neighbors(u)) {
-      if (rank.Less(u, v)) ++count;
-    }
-    fwd.offsets[u_index + 1] = count;
-  });
-  for (uint32_t u = 0; u < n; ++u) fwd.offsets[u + 1] += fwd.offsets[u];
-  fwd.targets.resize(fwd.offsets.back());
-  ParallelFor(n, 4096, [&](size_t u_index) {
-    const auto u = static_cast<Graph::NodeId>(u_index);
-    uint32_t out = fwd.offsets[u_index];
-    for (Graph::NodeId v : graph.Neighbors(u)) {
-      if (rank.Less(u, v)) fwd.targets[out++] = v;
-    }
-  });
-  return fwd;
-}
-
 }  // namespace
 
 namespace internal {
 
-ForwardCsr BuildForwardCsrFused(GraphView graph,
-                                std::vector<uint32_t>* degrees) {
-  const RankOrder rank{graph};
+ForwardCsr BuildForward(GraphView graph, std::vector<uint32_t>* degrees) {
   const uint32_t n = graph.NumNodes();
+  const uint32_t* offsets = graph.Offsets().data();
+  const Graph::NodeId* adjacency = graph.Adjacency().data();
+  ForwardCsr fwd{
+      std::make_unique_for_overwrite<uint32_t[]>(n),
+      std::make_unique_for_overwrite<uint32_t[]>(n),
+      std::make_unique_for_overwrite<Graph::NodeId[]>(
+          graph.Adjacency().size())};
   if (degrees != nullptr) degrees->resize(n);
-  // Single sweep of the view's adjacency: per-node forward lists and
-  // (optionally) the degree vector fall out of the same traversal. The
-  // flatten below touches only the just-built in-RAM lists — an
-  // out-of-core backing's pages are read once.
-  std::vector<std::vector<Graph::NodeId>> forward(n);
-  ParallelFor(n, kNodeGrain, [&](size_t u_index) {
-    const auto u = static_cast<Graph::NodeId>(u_index);
-    if (degrees != nullptr) (*degrees)[u_index] = graph.Degree(u);
-    for (Graph::NodeId v : graph.Neighbors(u)) {
-      if (rank.Less(u, v)) forward[u_index].push_back(v);
+  // Rank nodes by (degree, id); orienting every edge from lower to
+  // higher rank makes each triangle counted exactly once and bounds the
+  // forward out-degree by O(sqrt(m)). The forward neighbours of u are a
+  // subset of its adjacency row, so they are written (branch-free, in
+  // id order) into the front of u's own slot: rows are independent and
+  // the sweep parallelizes with no count pass or prefix sum.
+  ParallelFor(n, kBuildGrain, [&](size_t u) {
+    const uint32_t row_begin = offsets[u], row_end = offsets[u + 1];
+    const uint32_t du = row_end - row_begin;
+    if (degrees != nullptr) (*degrees)[u] = du;
+    Graph::NodeId* out = fwd.targets.get();
+    uint32_t cursor = row_begin;
+    for (uint32_t i = row_begin; i < row_end; ++i) {
+      const Graph::NodeId v = adjacency[i];
+      const uint32_t dv = offsets[v + 1] - offsets[v];
+      out[cursor] = v;
+      cursor += (du < dv) | ((du == dv) & (u < v));
     }
-  });
-  ForwardCsr fwd;
-  fwd.offsets.assign(size_t{n} + 1, 0);
-  for (uint32_t u = 0; u < n; ++u) {
-    fwd.offsets[u + 1] =
-        fwd.offsets[u] + static_cast<uint32_t>(forward[u].size());
-  }
-  fwd.targets.resize(fwd.offsets.back());
-  ParallelFor(n, 4096, [&](size_t u_index) {
-    std::copy(forward[u_index].begin(), forward[u_index].end(),
-              fwd.targets.begin() + fwd.offsets[u_index]);
+    fwd.starts[u] = row_begin;
+    fwd.ends[u] = cursor;
   });
   return fwd;
 }
@@ -147,47 +103,32 @@ std::vector<uint64_t> PerNodeTrianglesFromForward(const ForwardCsr& fwd,
     std::vector<std::vector<Graph::NodeId>> scratch(locals.size());
     uint32_t max_forward = 0;
     for (size_t u = 0; u < n; ++u) {
-      max_forward =
-          std::max(max_forward, fwd.offsets[u + 1] - fwd.offsets[u]);
+      max_forward = std::max(max_forward, fwd.ends[u] - fwd.starts[u]);
     }
     ParallelForChunks(n, kNodeGrain, [&](const ParallelChunk& chunk) {
       auto& local = locals[chunk.worker];
       if (local.empty()) local.assign(n, 0);
       auto& buffer = scratch[chunk.worker];
       if (buffer.size() < max_forward) buffer.resize(max_forward);
-      PerNodeTrianglesChunkAvx2(fwd.offsets.data(), fwd.targets.data(),
-                                chunk.begin, chunk.end, local.data(),
-                                buffer.data());
+      PerNodeTrianglesChunkAvx2(fwd.starts.get(), fwd.ends.get(),
+                                fwd.targets.get(), chunk.begin, chunk.end,
+                                local.data(), buffer.data());
     });
   } else {
     ParallelForChunks(n, kNodeGrain, [&](const ParallelChunk& chunk) {
       auto& local = locals[chunk.worker];
       if (local.empty()) local.assign(n, 0);
-      for (size_t u = chunk.begin; u < chunk.end; ++u) {
-        const uint32_t fu_begin = fwd.offsets[u], fu_end = fwd.offsets[u + 1];
-        for (uint32_t vi = fu_begin; vi < fu_end; ++vi) {
-          const Graph::NodeId v = fwd.targets[vi];
-          uint32_t i = fu_begin, j = fwd.offsets[v];
-          const uint32_t j_end = fwd.offsets[v + 1];
-          while (i < fu_end && j < j_end) {
-            if (fwd.targets[i] < fwd.targets[j]) {
-              ++i;
-            } else if (fwd.targets[i] > fwd.targets[j]) {
-              ++j;
-            } else {
-              ++local[u];
-              ++local[v];
-              ++local[fwd.targets[i]];
-              ++i;
-              ++j;
-            }
-          }
-        }
-      }
+      ForEachForwardTriangle(
+          fwd, chunk.begin, chunk.end,
+          [&local](Graph::NodeId u, Graph::NodeId v, Graph::NodeId w) {
+            ++local[u];
+            ++local[v];
+            ++local[w];
+          });
     });
   }
   std::vector<uint64_t> per_node(n, 0);
-  ParallelFor(n, 4096, [&](size_t u) {
+  ParallelFor(n, kBuildGrain, [&](size_t u) {
     uint64_t total = 0;
     for (const auto& local : locals) {
       if (!local.empty()) total += local[u];
@@ -197,37 +138,26 @@ std::vector<uint64_t> PerNodeTrianglesFromForward(const ForwardCsr& fwd,
   return per_node;
 }
 
-std::vector<uint64_t> PerNodeTrianglesImpl(GraphView graph) {
-  const ForwardCsr fwd = BuildForwardCsr(graph);
-  return PerNodeTrianglesFromForward(fwd, graph.NumNodes());
-}
-
 }  // namespace internal
 
 uint64_t CountTriangles(GraphView graph) {
   graph.CountPass("triangles");
-  if (Avx2Active()) {
-    const ForwardCsr fwd = BuildForwardCsr(graph);
-    const size_t n = graph.NumNodes();
-    std::vector<uint64_t> partials(ParallelChunkCount(n, kNodeGrain), 0);
-    ParallelForChunks(n, kNodeGrain, [&](const ParallelChunk& chunk) {
-      partials[chunk.index] =
-          CountTrianglesChunkAvx2(fwd.offsets.data(), fwd.targets.data(),
-                                  chunk.begin, chunk.end);
-    });
-    uint64_t triangles = 0;
-    for (uint64_t partial : partials) triangles += partial;
-    return triangles;
-  }
-  const auto forward = BuildForwardLists(graph);
-  const size_t n = forward.size();
+  const ForwardCsr fwd = internal::BuildForward(graph, nullptr);
+  const size_t n = graph.NumNodes();
+  const bool avx2 = Avx2Active();
   // Per-chunk integer partials, combined in chunk order: exact and
   // thread-count-invariant.
   std::vector<uint64_t> partials(ParallelChunkCount(n, kNodeGrain), 0);
   ParallelForChunks(n, kNodeGrain, [&](const ParallelChunk& chunk) {
+    if (avx2) {
+      partials[chunk.index] =
+          CountTrianglesChunkAvx2(fwd.starts.get(), fwd.ends.get(),
+                                  fwd.targets.get(), chunk.begin, chunk.end);
+      return;
+    }
     uint64_t local = 0;
-    ForEachTriangleInRange(
-        forward, chunk.begin, chunk.end,
+    ForEachForwardTriangle(
+        fwd, chunk.begin, chunk.end,
         [&local](Graph::NodeId, Graph::NodeId, Graph::NodeId) { ++local; });
     partials[chunk.index] = local;
   });
@@ -238,7 +168,8 @@ uint64_t CountTriangles(GraphView graph) {
 
 std::vector<uint64_t> PerNodeTriangles(GraphView graph) {
   graph.CountPass("triangles_per_node");
-  return internal::PerNodeTrianglesImpl(graph);
+  return internal::PerNodeTrianglesFromForward(
+      internal::BuildForward(graph, nullptr), graph.NumNodes());
 }
 
 uint32_t CommonNeighbors(GraphView graph, Graph::NodeId u,

@@ -189,6 +189,43 @@ inline size_t IntersectImpl(const uint32_t* a, size_t a_len,
   return n;
 }
 
+// Walks the (u, v ∈ forward[u]) pairs of the apex rows [begin, end) for
+// both chunk kernels. When forward[u] fits one block — the common case
+// at SKG degrees — its padded block is loaded once per apex, not once
+// per pair, and each one-block forward[v] costs a single all-rotations
+// compare: on_mask(u, v, fu, m) gets bit i of m set iff fu[i] is in
+// forward[v]. Every other pair goes to on_lists(u, v, fu, fu_len, fv,
+// fv_len) for the general kernels.
+template <typename OnMask, typename OnLists>
+inline void ForEachForwardPair(const uint32_t* starts, const uint32_t* ends,
+                               const uint32_t* targets, size_t begin,
+                               size_t end, OnMask&& on_mask,
+                               OnLists&& on_lists) {
+  for (size_t u = begin; u < end; ++u) {
+    const uint32_t* fu = targets + starts[u];
+    const size_t fu_len = ends[u] - starts[u];
+    if (fu_len > 8) {
+      for (size_t vi = 0; vi < fu_len; ++vi) {
+        const uint32_t v = fu[vi];
+        on_lists(u, v, fu, fu_len, targets + starts[v], ends[v] - starts[v]);
+      }
+      continue;
+    }
+    const __m256i va = LoadBlockPadded(fu, fu_len);
+    const unsigned valid = (1u << fu_len) - 1;
+    for (size_t vi = 0; vi < fu_len; ++vi) {
+      const uint32_t v = fu[vi];
+      const uint32_t* fv = targets + starts[v];
+      const size_t fv_len = ends[v] - starts[v];
+      if (fv_len <= 8) {
+        on_mask(u, v, fu, MatchMask8(va, LoadBlockPadded(fv, fv_len)) & valid);
+      } else {
+        on_lists(u, v, fu, fu_len, fv, fv_len);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 uint64_t IntersectCountAvx2(const uint32_t* a, size_t a_len,
@@ -208,40 +245,46 @@ size_t IntersectAvx2(const uint32_t* a, size_t a_len, const uint32_t* b,
   return n;
 }
 
-uint64_t CountTrianglesChunkAvx2(const uint32_t* offsets,
+uint64_t CountTrianglesChunkAvx2(const uint32_t* starts,
+                                 const uint32_t* ends,
                                  const uint32_t* targets, size_t begin,
                                  size_t end) {
   uint64_t local = 0;
-  for (size_t u = begin; u < end; ++u) {
-    const uint32_t* fu = targets + offsets[u];
-    const size_t fu_len = offsets[u + 1] - offsets[u];
-    for (size_t vi = 0; vi < fu_len; ++vi) {
-      const uint32_t v = fu[vi];
-      local += IntersectCountImpl(fu, fu_len, targets + offsets[v],
-                                  offsets[v + 1] - offsets[v]);
-    }
-  }
+  ForEachForwardPair(
+      starts, ends, targets, begin, end,
+      [&](size_t, uint32_t, const uint32_t*, unsigned mask) {
+        local += static_cast<unsigned>(__builtin_popcount(mask));
+      },
+      [&](size_t, uint32_t, const uint32_t* fu, size_t fu_len,
+          const uint32_t* fv, size_t fv_len) {
+        local += IntersectCountImpl(fu, fu_len, fv, fv_len);
+      });
   _mm256_zeroupper();
   return local;
 }
 
-void PerNodeTrianglesChunkAvx2(const uint32_t* offsets,
+void PerNodeTrianglesChunkAvx2(const uint32_t* starts, const uint32_t* ends,
                                const uint32_t* targets, size_t begin,
                                size_t end, uint64_t* counts,
                                uint32_t* scratch) {
-  for (size_t u = begin; u < end; ++u) {
-    const uint32_t* fu = targets + offsets[u];
-    const size_t fu_len = offsets[u + 1] - offsets[u];
-    for (size_t vi = 0; vi < fu_len; ++vi) {
-      const uint32_t v = fu[vi];
-      const size_t matches =
-          IntersectImpl(fu, fu_len, targets + offsets[v],
-                        offsets[v + 1] - offsets[v], scratch);
-      counts[u] += matches;
-      counts[v] += matches;
-      for (size_t m = 0; m < matches; ++m) ++counts[scratch[m]];
-    }
-  }
+  ForEachForwardPair(
+      starts, ends, targets, begin, end,
+      [&](size_t u, uint32_t v, const uint32_t* fu, unsigned mask) {
+        const unsigned matches =
+            static_cast<unsigned>(__builtin_popcount(mask));
+        counts[u] += matches;
+        counts[v] += matches;
+        for (; mask != 0; mask &= mask - 1) {
+          ++counts[fu[static_cast<unsigned>(__builtin_ctz(mask))]];
+        }
+      },
+      [&](size_t u, uint32_t v, const uint32_t* fu, size_t fu_len,
+          const uint32_t* fv, size_t fv_len) {
+        const size_t matches = IntersectImpl(fu, fu_len, fv, fv_len, scratch);
+        counts[u] += matches;
+        counts[v] += matches;
+        for (size_t m = 0; m < matches; ++m) ++counts[scratch[m]];
+      });
   _mm256_zeroupper();
 }
 
@@ -263,14 +306,15 @@ size_t IntersectAvx2(const uint32_t*, size_t, const uint32_t*, size_t,
   return 0;
 }
 
-uint64_t CountTrianglesChunkAvx2(const uint32_t*, const uint32_t*, size_t,
-                                 size_t) {
+uint64_t CountTrianglesChunkAvx2(const uint32_t*, const uint32_t*,
+                                 const uint32_t*, size_t, size_t) {
   DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");
   return 0;
 }
 
-void PerNodeTrianglesChunkAvx2(const uint32_t*, const uint32_t*, size_t,
-                               size_t, uint64_t*, uint32_t*) {
+void PerNodeTrianglesChunkAvx2(const uint32_t*, const uint32_t*,
+                               const uint32_t*, size_t, size_t, uint64_t*,
+                               uint32_t*) {
   DPKRON_CHECK_MSG(false, "AVX2 kernel called in a non-AVX2 build");
 }
 

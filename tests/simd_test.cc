@@ -19,6 +19,7 @@
 #include "src/graph/anf.h"
 #include "src/graph/graph_builder.h"
 #include "src/graph/intersect_kernels.h"
+#include "src/graph/node_stats.h"
 #include "src/graph/triangles.h"
 #include "src/kronfit/kronfit.h"
 #include "src/kronfit/likelihood.h"
@@ -191,6 +192,101 @@ TEST(SimdParityTest, TriangleKernelsExactAcrossLevelsAndThreads) {
     uint64_t sum = 0;
     for (const uint64_t t : *per_node_ref) sum += t;
     EXPECT_EQ(sum, 3 * *count_ref);
+  }
+}
+
+// Brute-force oracle for the triangle family. The parity test above
+// only compares dispatch paths with each other, and every path shares
+// one forward-orientation builder — so a builder fault would agree with
+// itself. Here the counts come from a dense adjacency matrix instead.
+struct MatrixTriangles {
+  uint64_t total = 0;
+  std::vector<uint64_t> per_node;
+  std::vector<uint32_t> degrees;
+};
+
+MatrixTriangles CountByAdjacencyMatrix(const Graph& g) {
+  const uint32_t n = g.NumNodes();
+  std::vector<std::vector<bool>> adj(n, std::vector<bool>(n, false));
+  for (uint32_t u = 0; u < n; ++u) {
+    for (const uint32_t v : g.Neighbors(u)) adj[u][v] = true;
+  }
+  MatrixTriangles ref;
+  ref.per_node.assign(n, 0);
+  ref.degrees.assign(n, 0);
+  for (uint32_t u = 0; u < n; ++u) {
+    for (uint32_t v = 0; v < n; ++v) ref.degrees[u] += adj[u][v] ? 1 : 0;
+  }
+  for (uint32_t u = 0; u < n; ++u) {
+    for (uint32_t v = u + 1; v < n; ++v) {
+      if (!adj[u][v]) continue;
+      for (uint32_t w = v + 1; w < n; ++w) {
+        if (adj[u][w] && adj[v][w]) {
+          ++ref.total;
+          ++ref.per_node[u];
+          ++ref.per_node[v];
+          ++ref.per_node[w];
+        }
+      }
+    }
+  }
+  return ref;
+}
+
+// A hub adjacent to the first three quarters of the nodes, a sparse
+// random graph among those, a ring lattice (every node degree 4: a run
+// of rank ties broken only by id) and a tail of isolated nodes.
+Graph ReferenceFixture(uint32_t n, uint64_t seed) {
+  Rng rng(seed);
+  GraphBuilder builder(n);
+  const uint32_t dense_end = n * 3 / 4, ring_end = n * 9 / 10;
+  const uint32_t hub = n / 2;
+  for (uint32_t v = 0; v < dense_end; ++v) builder.AddEdge(hub, v);
+  for (uint32_t u = 0; u < dense_end; ++u) {
+    for (uint32_t v = u + 1; v < dense_end; ++v) {
+      if (rng.NextBounded(dense_end) < 6) builder.AddEdge(u, v);
+    }
+  }
+  const uint32_t ring = ring_end - dense_end;
+  for (uint32_t i = 0; i < ring; ++i) {
+    builder.AddEdge(dense_end + i, dense_end + (i + 1) % ring);
+    builder.AddEdge(dense_end + i, dense_end + (i + 2) % ring);
+  }
+  return builder.Build();
+}
+
+TEST(TriangleReferenceTest, MatchesAdjacencyMatrixAcrossLevelsAndThreads) {
+  // Node counts below, equal to and not a multiple of the forward
+  // build's 512-node chunk, plus an SKG realization (skewed degrees).
+  std::vector<Graph> graphs;
+  for (const uint32_t n : {100u, 512u, 1300u}) {
+    graphs.push_back(ReferenceFixture(n, 40 + n));
+  }
+  graphs.push_back(SkewedFixture());
+  Rng skg_rng(21);
+  graphs.push_back(SampleSkg({0.99, 0.55, 0.35}, 10, skg_rng));
+  for (const Graph& g : graphs) {
+    const MatrixTriangles ref = CountByAdjacencyMatrix(g);
+    ASSERT_GT(ref.total, 0u) << "n=" << g.NumNodes();
+    for (SimdLevel level : TestableLevels()) {
+      ScopedSimdLevelCap cap(level);
+      for (const int threads : {1, 2, 8}) {
+        ScopedThreads scoped(threads);
+        const NodeStats stats = ComputeNodeStats(g);
+        EXPECT_EQ(CountTriangles(g), ref.total)
+            << "n=" << g.NumNodes() << " level=" << SimdLevelName(level)
+            << " threads=" << threads;
+        EXPECT_EQ(PerNodeTriangles(g), ref.per_node)
+            << "n=" << g.NumNodes() << " level=" << SimdLevelName(level)
+            << " threads=" << threads;
+        EXPECT_EQ(stats.triangles, ref.per_node)
+            << "n=" << g.NumNodes() << " level=" << SimdLevelName(level)
+            << " threads=" << threads;
+        EXPECT_EQ(stats.degrees, ref.degrees)
+            << "n=" << g.NumNodes() << " level=" << SimdLevelName(level)
+            << " threads=" << threads;
+      }
+    }
   }
 }
 
