@@ -16,8 +16,6 @@ inline uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -26,39 +24,6 @@ Rng::Rng(uint64_t seed) {
   // All-zero state is the one invalid xoshiro state; splitmix64 cannot
   // produce four zero outputs in a row, but guard anyway.
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-uint64_t Rng::NextBounded(uint64_t bound) {
-  DPKRON_CHECK_GT(bound, 0u);
-  // Lemire's nearly-divisionless unbiased method.
-  uint64_t x = NextU64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  uint64_t low = static_cast<uint64_t>(m);
-  if (low < bound) {
-    uint64_t threshold = -bound % bound;
-    while (low < threshold) {
-      x = NextU64();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
 }
 
 bool Rng::NextBernoulli(double p) {
@@ -103,7 +68,11 @@ uint64_t Rng::NextGeometric(double p) {
   DPKRON_CHECK_LE(p, 1.0);
   if (p == 1.0) return 0;
   const double u = NextDouble();
-  return static_cast<uint64_t>(std::floor(std::log1p(-u) / std::log1p(-p)));
+  const double failures = std::floor(std::log1p(-u) / std::log1p(-p));
+  // A run this long (p below ~1e-19) saturates: converting a double at
+  // or above 2^64 to uint64_t is undefined.
+  if (!(failures < 0x1.0p64)) return UINT64_MAX;
+  return static_cast<uint64_t>(failures);
 }
 
 uint64_t Rng::NextBinomial(uint64_t n, double p) {
@@ -172,7 +141,7 @@ Rng Rng::Split() {
   // splitmix64, decorrelating it from the parent's remaining stream.
   const uint64_t a = NextU64();
   const uint64_t b = NextU64();
-  return Rng(a ^ Rotl(b, 31) ^ 0xD1B54A32D192ED03ULL);
+  return Rng(a ^ std::rotl(b, 31) ^ 0xD1B54A32D192ED03ULL);
 }
 
 std::vector<uint32_t> Rng::Permutation(uint32_t n) {

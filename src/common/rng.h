@@ -11,9 +11,12 @@
 #ifndef DPKRON_COMMON_RNG_H_
 #define DPKRON_COMMON_RNG_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "src/common/macros.h"
 
 namespace dpkron {
 
@@ -30,15 +33,44 @@ class Rng {
   Rng(Rng&&) = default;
   Rng& operator=(Rng&&) = default;
 
+  // The three draws below are defined inline so that a hot loop over a
+  // local Rng keeps the 256-bit state in registers.
+
   // Next raw 64-bit output.
-  uint64_t NextU64();
+  uint64_t NextU64() {
+    const uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform in [0, 1). 53-bit resolution.
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+  }
 
   // Uniform integer in [0, bound). Requires bound > 0. Unbiased
-  // (Lemire's rejection method).
-  uint64_t NextBounded(uint64_t bound);
+  // (Lemire's nearly-divisionless rejection method).
+  uint64_t NextBounded(uint64_t bound) {
+    DPKRON_CHECK_GT(bound, 0u);
+    uint64_t x = NextU64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    uint64_t low = static_cast<uint64_t>(m);
+    if (low < bound) {
+      const uint64_t threshold = -bound % bound;
+      while (low < threshold) {
+        x = NextU64();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   // Bernoulli trial with success probability p (clamped to [0,1]).
   bool NextBernoulli(double p);
@@ -53,6 +85,7 @@ class Rng {
   double NextExponential(double lambda);
 
   // Geometric: number of failures before first success, p in (0, 1].
+  // Saturates at UINT64_MAX when the run would not fit in 64 bits.
   uint64_t NextGeometric(double p);
 
   // Binomial(n, p): number of successes in n trials. Exact inversion by

@@ -21,30 +21,6 @@ GraphView PadWithIsolatedNodes(GraphView graph, uint32_t num_nodes,
   return GraphView(*offsets, graph.Adjacency(), /*fingerprint_memo=*/nullptr);
 }
 
-namespace {
-
-// Runs `count` Metropolis swap steps on sigma under the current model.
-// Serial: one chain is one Markov trajectory.
-void RunSwaps(GraphView graph, const KronFitLikelihood& model,
-              PermutationState* sigma, Rng& rng, uint64_t count) {
-  // The AVX2 path runs the whole loop inside the AVX2 translation unit
-  // (likelihood_kernels.h) — same trajectory as the scalar loop below,
-  // swap for swap.
-  if (model.MetropolisSwaps(graph, sigma, rng, count)) return;
-  const uint32_t n = graph.NumNodes();
-  for (uint64_t step = 0; step < count; ++step) {
-    const uint32_t u = static_cast<uint32_t>(rng.NextBounded(n));
-    const uint32_t v = static_cast<uint32_t>(rng.NextBounded(n));
-    if (u == v) continue;
-    const double delta = model.SwapDelta(graph, *sigma, u, v);
-    if (delta >= 0.0 || rng.NextDouble() < std::exp(delta)) {
-      sigma->SwapNodes(u, v);
-    }
-  }
-}
-
-}  // namespace
-
 MetropolisChains::MetropolisChains(GraphView graph, uint32_t k,
                                    uint32_t num_chains, Rng& rng)
     : graph_(graph) {
@@ -66,8 +42,8 @@ MetropolisChains::MetropolisChains(GraphView graph, uint32_t k,
 void MetropolisChains::Advance(const KronFitLikelihood& model,
                                uint64_t swaps_per_chain) {
   ParallelFor(chains_.size(), 1, [&](size_t c) {
-    RunSwaps(graph_, model, &chains_[c].sigma, chains_[c].rng,
-             swaps_per_chain);
+    model.MetropolisSwaps(graph_, &chains_[c].sigma, chains_[c].rng,
+                          swaps_per_chain);
   });
 }
 
@@ -78,8 +54,8 @@ Gradient3 MetropolisChains::SampleGradient(const KronFitLikelihood& model,
   // matches its 1-thread evaluation bit for bit.
   std::vector<Gradient3> grads(chains_.size());
   ParallelFor(chains_.size(), 1, [&](size_t c) {
-    RunSwaps(graph_, model, &chains_[c].sigma, chains_[c].rng,
-             swaps_per_chain);
+    model.MetropolisSwaps(graph_, &chains_[c].sigma, chains_[c].rng,
+                          swaps_per_chain);
     grads[c] = model.EdgeGradient(graph_, chains_[c].sigma);
   });
   Gradient3 mean{0.0, 0.0, 0.0};

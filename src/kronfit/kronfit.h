@@ -75,6 +75,7 @@ class MetropolisChains {
     return static_cast<uint32_t>(chains_.size());
   }
   const PermutationState& chain(uint32_t c) const { return chains_[c].sigma; }
+  const Rng& stream(uint32_t c) const { return chains_[c].rng; }
 
   // Advances every chain by `swaps_per_chain` Metropolis steps under
   // `model` (chains fan across the pool; each chain is serial).

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "src/common/macros.h"
 #include "src/common/parallel.h"
-#include "src/common/simd.h"
-#include "src/kronfit/likelihood_kernels.h"
 
 namespace dpkron {
 namespace {
@@ -17,7 +16,54 @@ namespace {
 // SKG degree distribution.
 constexpr size_t kNodeGrain = 512;
 
+// exp(delta) for delta ∈ [−40, 0) with relative error < 2e-11 against
+// the true exp: Cody–Waite reduction — |n| ≤ 58, so n·ln2_hi is exact —
+// plus a degree-9 Taylor polynomial on |r| ≤ ln2/2 (truncation ≤ 1e-11),
+// Estrin-combined to shorten the dependency chain.
+inline double ApproxExp(double delta) {
+  constexpr double kInvLn2 = 1.4426950408889634074;
+  constexpr double kLn2Hi = 6.93147180369123816490e-01;  // 20 low bits 0
+  constexpr double kLn2Lo = 1.90821492927058770002e-10;
+  constexpr double kRoundShift = 6755399441055744.0;  // 1.5 · 2^52
+  const double nd = (delta * kInvLn2 + kRoundShift) - kRoundShift;
+  const double r = (delta - nd * kLn2Hi) - nd * kLn2Lo;
+  const double r2 = r * r;
+  const double r4 = r2 * r2;
+  const double p01 = 1.0 + r;
+  const double p23 = (1.0 / 2.0) + r * (1.0 / 6.0);
+  const double p45 = (1.0 / 24.0) + r * (1.0 / 120.0);
+  const double p67 = (1.0 / 720.0) + r * (1.0 / 5040.0);
+  const double p89 = (1.0 / 40320.0) + r * (1.0 / 362880.0);
+  const double poly =
+      p01 + r2 * (p23 + r2 * p45) + (r4 * r2) * (p67 + r2 * p89);
+  // 2^n by exponent construction: n ∈ [−58, 0] keeps it normal.
+  return poly * std::bit_cast<double>(
+                    (uint64_t{1023} + static_cast<int64_t>(nd)) << 52);
+}
+
 }  // namespace
+
+namespace internal_likelihood {
+
+bool AcceptsDownhill(double delta, double uniform) {
+  // Below −40, exp(delta) < 2⁻⁵³ = NextDouble's granularity, so only
+  // uniform == 0 can be accepted — and then only if exp(delta) has not
+  // underflowed to zero, which std::exp itself decides.
+  constexpr double kExpUnderflow = -40.0;
+  if (delta < kExpUnderflow) {
+    return uniform == 0.0 && uniform < std::exp(delta);
+  }
+  // ApproxExp brackets libm's exp (itself within a few ulp of the true
+  // value) inside ex·(1 ± 4e-11). A uniform outside the bracket is
+  // already decided against libm's value; only one inside consults it.
+  const double ex = ApproxExp(delta);
+  const double margin = 4e-11 * ex;
+  if (uniform < ex - margin) return true;
+  if (uniform >= ex + margin) return false;
+  return uniform < std::exp(delta);
+}
+
+}  // namespace internal_likelihood
 
 KronFitLikelihood::KronFitLikelihood(const Initiator2& theta, uint32_t k)
     : theta_(Initiator2{std::max(theta.a, kThetaFloor),
@@ -42,39 +88,19 @@ KronFitLikelihood::KronFitLikelihood(const Initiator2& theta, uint32_t k)
     pow_b[i] = pow_b[i - 1] * b;
     pow_c[i] = pow_c[i - 1] * c;
   }
-  const size_t cells = size_t{k + 1} * (k + 1);
+  // Row stride 2^shift_ > k ≥ nb (see TableIndex); unreachable cells
+  // (n11 + nb > k) stay zero.
+  const size_t cells = (size_t{k} + 1) << shift_;
   edge_term_.assign(cells, 0.0);
-  grad_a_.assign(cells, 0.0);
-  grad_b_.assign(cells, 0.0);
-  grad_c_.assign(cells, 0.0);
+  gradient_.assign(cells, Gradient3{0.0, 0.0, 0.0});
   for (uint32_t n11 = 0; n11 <= k; ++n11) {
     for (uint32_t nb = 0; nb + n11 <= k; ++nb) {
       const uint32_t n00 = k - n11 - nb;
       const double P = pow_a[n00] * pow_b[nb] * pow_c[n11];
-      const size_t idx = size_t{n11} * (k + 1) + nb;
+      const size_t idx = (size_t{n11} << shift_) | nb;
       edge_term_[idx] = std::log(P) + P + 0.5 * P * P;
       const double factor = 1.0 + P + P * P;
-      grad_a_[idx] = n00 / a * factor;
-      grad_b_[idx] = nb / b * factor;
-      grad_c_[idx] = n11 / c * factor;
-    }
-  }
-  // AVX2-path layouts: same values (copies, not recomputation — the
-  // layouts can never drift from the dense tables), power-of-two row
-  // stride 2^shift_ (> k ≥ nb, so "(n11 << shift) | nb" is collision-
-  // free), gradient components fused into 32-byte cells.
-  const size_t stride = size_t{1} << shift_;
-  edge_term_padded_.assign(stride * (k + 1), 0.0);
-  grad4_padded_.assign(stride * (k + 1) * 4, 0.0);
-  for (uint32_t n11 = 0; n11 <= k; ++n11) {
-    for (uint32_t nb = 0; nb + n11 <= k; ++nb) {
-      const size_t src = size_t{n11} * (k + 1) + nb;
-      const size_t dst = (size_t{n11} << shift_) | nb;
-      edge_term_padded_[dst] = edge_term_[src];
-      grad4_padded_[dst * 4 + 0] = grad_a_[src];
-      grad4_padded_[dst * 4 + 1] = grad_b_[src];
-      grad4_padded_[dst * 4 + 2] = grad_c_[src];
-      grad4_padded_[dst * 4 + 3] = edge_term_[src];
+      gradient_[idx] = {n00 / a * factor, nb / b * factor, n11 / c * factor};
     }
   }
 }
@@ -128,18 +154,6 @@ Gradient3 KronFitLikelihood::NoEdgeGradient() const {
 
 double KronFitLikelihood::LogLikelihood(GraphView graph,
                                         const PermutationState& sigma) const {
-  if (Avx2Active()) {
-    const uint32_t* offsets = graph.Offsets().data();
-    const uint32_t* adjacency = graph.Adjacency().data();
-    const uint32_t* positions = sigma.sigma().data();
-    const double edge_sum = ParallelSum(
-        graph.NumNodes(), kNodeGrain, [&](size_t begin, size_t end) {
-          return EdgeTermSumChunkAvx2(offsets, adjacency, begin, end,
-                                      positions, mask_, shift_,
-                                      edge_term_padded_.data());
-        });
-    return edge_sum - NoEdgeTerm();
-  }
   const double edge_sum = ParallelSum(
       graph.NumNodes(), kNodeGrain, [&](size_t begin, size_t end) {
         double sum = 0.0;
@@ -154,59 +168,74 @@ double KronFitLikelihood::LogLikelihood(GraphView graph,
   return edge_sum - NoEdgeTerm();
 }
 
+// One accumulator in neighbor-list order: u's list (skipping v) adds
+// et(pv, pw) − et(pu, pw), then v's list (skipping u) adds
+// et(pu, pw) − et(pv, pw). The edge {u, v} itself keeps its unordered
+// position pair, and P is symmetric, so its term does not move.
+inline double KronFitLikelihood::SwapDeltaWalk(
+    const uint32_t* offsets, const uint32_t* adjacency,
+    const uint32_t* positions, uint32_t u, uint32_t v, uint32_t pu,
+    uint32_t pv, const double* et, uint32_t mask, uint32_t shift) {
+  double delta = 0.0;
+  for (uint32_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+    const uint32_t w = adjacency[i];
+    if (w == v) continue;
+    const uint32_t pw = positions[w];
+    delta += et[TableIndex(pv, pw, mask, shift)] -
+             et[TableIndex(pu, pw, mask, shift)];
+  }
+  for (uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+    const uint32_t w = adjacency[i];
+    if (w == u) continue;
+    const uint32_t pw = positions[w];
+    delta += et[TableIndex(pu, pw, mask, shift)] -
+             et[TableIndex(pv, pw, mask, shift)];
+  }
+  return delta;
+}
+
 double KronFitLikelihood::SwapDelta(GraphView graph,
                                     const PermutationState& sigma, uint32_t u,
                                     uint32_t v) const {
   if (u == v) return 0.0;
-  const uint32_t pu = sigma.Position(u), pv = sigma.Position(v);
-  if (Avx2Active()) {
-    const auto nu = graph.Neighbors(u);
-    const auto nv = graph.Neighbors(v);
-    return SwapDeltaAvx2(nu.data(), nu.size(), v, nv.data(), nv.size(), u,
-                         pu, pv, sigma.sigma().data(), mask_, shift_,
-                         edge_term_padded_.data());
-  }
-  double delta = 0.0;
-  // Edges incident to u (skip the shared edge {u,v}: handled once below).
-  for (Graph::NodeId w : graph.Neighbors(u)) {
-    if (w == v) continue;
-    const uint32_t pw = sigma.Position(w);
-    delta += EdgeTerm(pv, pw) - EdgeTerm(pu, pw);
-  }
-  for (Graph::NodeId w : graph.Neighbors(v)) {
-    if (w == u) continue;
-    const uint32_t pw = sigma.Position(w);
-    delta += EdgeTerm(pu, pw) - EdgeTerm(pv, pw);
-  }
-  // The edge {u, v} itself keeps its unordered position pair — P is
-  // symmetric, so its term is unchanged.
-  return delta;
+  const uint32_t* positions = sigma.sigma().data();
+  return SwapDeltaWalk(graph.Offsets().data(), graph.Adjacency().data(),
+                       positions, u, v, positions[u], positions[v],
+                       edge_term_.data(), mask_, shift_);
 }
 
-bool KronFitLikelihood::MetropolisSwaps(GraphView graph,
+void KronFitLikelihood::MetropolisSwaps(GraphView graph,
                                         PermutationState* sigma, Rng& rng,
                                         uint64_t count) const {
-  if (!Avx2Active()) return false;
-  MetropolisSwapsAvx2(graph.Offsets().data(), graph.Adjacency().data(),
-                      graph.NumNodes(), sigma, rng, count, mask_, shift_,
-                      edge_term_padded_.data());
-  return true;
+  const uint32_t n = graph.NumNodes();
+  DPKRON_CHECK_EQ(sigma->size(), n);
+  const uint32_t* offsets = graph.Offsets().data();
+  const uint32_t* adjacency = graph.Adjacency().data();
+  // SwapNodes permutes entries in place, so the pointer stays valid.
+  const uint32_t* positions = sigma->sigma().data();
+  const double* et = edge_term_.data();
+  // Locals, so neither the table geometry nor the stream is reloaded
+  // through memory after every accepted swap: the chain's xoshiro state
+  // lives in registers for the whole loop and is handed back at the end.
+  const uint32_t mask = mask_, shift = shift_;
+  Rng chain = std::move(rng);
+  for (uint64_t step = 0; step < count; ++step) {
+    const uint32_t u = static_cast<uint32_t>(chain.NextBounded(n));
+    const uint32_t v = static_cast<uint32_t>(chain.NextBounded(n));
+    if (u == v) continue;
+    const double delta =
+        SwapDeltaWalk(offsets, adjacency, positions, u, v, positions[u],
+                      positions[v], et, mask, shift);
+    if (delta >= 0.0 ||
+        internal_likelihood::AcceptsDownhill(delta, chain.NextDouble())) {
+      sigma->SwapNodes(u, v);
+    }
+  }
+  rng = std::move(chain);
 }
 
 Gradient3 KronFitLikelihood::EdgeGradient(GraphView graph,
                                           const PermutationState& sigma) const {
-  if (Avx2Active()) {
-    const uint32_t* offsets = graph.Offsets().data();
-    const uint32_t* adjacency = graph.Adjacency().data();
-    const uint32_t* positions = sigma.sigma().data();
-    return ParallelSumArray<3>(
-        graph.NumNodes(), kNodeGrain, [&](size_t begin, size_t end) {
-          alignas(32) double out[4];
-          EdgeGradientChunkAvx2(offsets, adjacency, begin, end, positions,
-                                mask_, shift_, grad4_padded_.data(), out);
-          return Gradient3{out[0], out[1], out[2]};
-        });
-  }
   return ParallelSumArray<3>(
       graph.NumNodes(), kNodeGrain, [&](size_t begin, size_t end) {
         Gradient3 grad{0.0, 0.0, 0.0};
@@ -214,10 +243,10 @@ Gradient3 KronFitLikelihood::EdgeGradient(GraphView graph,
           const uint32_t pu = sigma.Position(static_cast<uint32_t>(u));
           for (Graph::NodeId v : graph.Neighbors(static_cast<uint32_t>(u))) {
             if (v <= u) continue;
-            const size_t idx = TableIndex(pu, sigma.Position(v));
-            grad[0] += grad_a_[idx];
-            grad[1] += grad_b_[idx];
-            grad[2] += grad_c_[idx];
+            const Gradient3& term = gradient_[TableIndex(pu, sigma.Position(v))];
+            grad[0] += term[0];
+            grad[1] += term[1];
+            grad[2] += term[2];
           }
         }
         return grad;

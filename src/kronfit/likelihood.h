@@ -21,6 +21,12 @@
 // and direct values are bit-identical (tests enforce EXPECT_EQ); the
 // *Direct methods retain the untabulated computation as the parity
 // reference.
+//
+// There is one portable implementation of every kernel. The Metropolis
+// swap loop is latency-bound on its random position and table loads:
+// interleaved chains, branch-free accepts and vectorized index math were
+// all measured at or below this plain fused loop, so no ISA-specific
+// variant is kept.
 
 #ifndef DPKRON_KRONFIT_LIKELIHOOD_H_
 #define DPKRON_KRONFIT_LIKELIHOOD_H_
@@ -29,7 +35,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/aligned.h"
+#include "src/common/rng.h"
 #include "src/graph/graph_view.h"
 #include "src/kronfit/permutation.h"
 #include "src/skg/initiator.h"
@@ -66,8 +72,7 @@ class KronFitLikelihood {
   // ∇_(a,b,c) of EdgeTerm(p, q): (n_θ/θ)·(1 + P + P²) per entry.
   // Table lookup.
   Gradient3 EdgeGradientTerm(uint32_t p, uint32_t q) const {
-    const size_t idx = TableIndex(p, q);
-    return {grad_a_[idx], grad_b_[idx], grad_c_[idx]};
+    return gradient_[TableIndex(p, q)];
   }
 
   // Untabulated reference for EdgeGradientTerm (identical bits).
@@ -88,13 +93,14 @@ class KronFitLikelihood {
   double SwapDelta(GraphView graph, const PermutationState& sigma,
                    uint32_t u, uint32_t v) const;
 
-  // Runs `count` Metropolis swap steps on `sigma` inside the AVX2
-  // translation unit when the AVX2 path is active (one ISA boundary per
-  // call instead of per swap — see likelihood_kernels.h); returns false
-  // without consuming any draws when inactive, so the caller runs its
-  // scalar loop. The trajectory is bit-identical to that scalar loop.
-  bool MetropolisSwaps(GraphView graph, PermutationState* sigma,
-                       Rng& rng, uint64_t count) const;
+  // Runs `count` Metropolis swap steps on `sigma`, drawing from `rng`.
+  // The trajectory is, draw for draw, that of the textbook loop
+  //   u = NextBounded(n); v = NextBounded(n); if (u == v) continue;
+  //   if (SwapDelta(u, v) >= 0 || NextDouble() < exp(SwapDelta(u, v)))
+  //     swap u and v;
+  // the accept test only avoids calling exp (see AcceptsDownhill).
+  void MetropolisSwaps(GraphView graph, PermutationState* sigma, Rng& rng,
+                       uint64_t count) const;
 
   // ∇_(a,b,c) Σ_E EdgeTerm at alignment σ. Combined with NoEdgeGradient()
   // this is the full likelihood gradient. Chunk-ordered 3-component
@@ -106,35 +112,52 @@ class KronFitLikelihood {
   // (n00, nb, n11) digit-pair counts for positions (p, q).
   std::array<uint32_t, 3> DigitCounts(uint32_t p, uint32_t q) const;
 
-  // Row-major index into the (k+1)×(k+1) tables for the digit counts of
-  // (p, q): n11·(k+1) + nb. Only cells with n11 + nb ≤ k are reachable.
+  // Index into the tables for the digit counts of (p, q):
+  // (n11 << shift_) | nb. The row stride 2^shift_ exceeds k ≥ nb, so
+  // cells never collide; only cells with n11 + nb ≤ k are reachable.
   size_t TableIndex(uint32_t p, uint32_t q) const {
-    const uint32_t both = (p & q) & mask_;
-    const uint32_t only = (p ^ q) & mask_;
-    const uint32_t n11 = static_cast<uint32_t>(__builtin_popcount(both));
-    const uint32_t nb = static_cast<uint32_t>(__builtin_popcount(only));
-    return size_t{n11} * (k_ + 1) + nb;
+    return TableIndex(p, q, mask_, shift_);
   }
+  static size_t TableIndex(uint32_t p, uint32_t q, uint32_t mask,
+                           uint32_t shift) {
+    const uint32_t n11 =
+        static_cast<uint32_t>(__builtin_popcount((p & q) & mask));
+    const uint32_t nb =
+        static_cast<uint32_t>(__builtin_popcount((p ^ q) & mask));
+    return (size_t{n11} << shift) | nb;
+  }
+
+  // SwapDelta over the raw CSR arrays and edge-term table `et`, for
+  // u ≠ v at positions pu, pv. The one delta computation: SwapDelta and
+  // the MetropolisSwaps loop both call it.
+  static double SwapDeltaWalk(const uint32_t* offsets,
+                              const uint32_t* adjacency,
+                              const uint32_t* positions, uint32_t u,
+                              uint32_t v, uint32_t pu, uint32_t pv,
+                              const double* et, uint32_t mask,
+                              uint32_t shift);
 
   Initiator2 theta_;
   uint32_t k_;
-  uint32_t mask_;  // low-k bits; hoisted out of the digit-count hot path
-  uint32_t shift_;  // padded-table row shift: stride 2^shift_ ≥ k+1
+  uint32_t mask_;   // low-k bits; hoisted out of the digit-count hot path
+  uint32_t shift_;  // table row shift: stride 2^shift_ ≥ k+1
   EdgeProbability2 prob_;
-  // (k+1)² tables over (n11, nb); see TableIndex.
+  // Tables over (n11, nb); see TableIndex.
   std::vector<double> edge_term_;
-  std::vector<double> grad_a_, grad_b_, grad_c_;
-  // AVX2-path tables (likelihood_kernels.h): the same values re-laid-out
-  // with a power-of-two row stride so the cell index is a shift+or, and
-  // — for the gradient — combined into 32-byte cells
-  // [g_a, g_b, g_c, edge_term] one aligned vector load wide. Values are
-  // copied from the dense tables, so both layouts are bit-identical.
-  template <typename T>
-  using AlignedVector = std::vector<T, AlignedAllocator<T, 64>>;
-  AlignedVector<double> edge_term_padded_;
-  AlignedVector<double> grad4_padded_;
+  std::vector<Gradient3> gradient_;
 };
 
+namespace internal_likelihood {
+
+// The Metropolis accept decision for a downhill move: exactly
+// "uniform < std::exp(delta)" for delta < 0 and a uniform drawn by
+// Rng::NextDouble (a multiple of 2⁻⁵³ in [0, 1)), but std::exp is called
+// only when uniform falls within 4e-11 relative of exp(delta)
+// (probability ~8e-11 per test) or, for delta < −40, only when
+// uniform == 0. Exposed for tests.
+bool AcceptsDownhill(double delta, double uniform);
+
+}  // namespace internal_likelihood
 }  // namespace dpkron
 
 #endif  // DPKRON_KRONFIT_LIKELIHOOD_H_

@@ -27,26 +27,42 @@ void PermutationState::SwapNodes(uint32_t u, uint32_t v) {
   std::swap(sigma_[u], sigma_[v]);
 }
 
+namespace {
+
+// Ids 0..n−1 ordered by key(id) ascending, ties by id: one stable
+// counting pass over keys in [0, num_keys).
+template <typename Key>
+std::vector<uint32_t> CountingOrder(uint32_t n, uint32_t num_keys, Key key) {
+  std::vector<uint32_t> next(size_t{num_keys} + 1, 0);
+  for (uint32_t id = 0; id < n; ++id) ++next[key(id) + 1];
+  std::partial_sum(next.begin(), next.end(), next.begin());
+  std::vector<uint32_t> order(n);
+  for (uint32_t id = 0; id < n; ++id) order[next[key(id)]++] = id;
+  return order;
+}
+
+}  // namespace
+
 PermutationState DegreeGuidedInit(GraphView graph, uint32_t k) {
   const uint32_t n = graph.NumNodes();
   DPKRON_CHECK_LE(n, uint64_t{1} << k);
   DPKRON_CHECK_EQ(n, uint64_t{1} << k);  // callers pad the graph to 2^k
 
-  // Nodes by degree, descending.
-  std::vector<uint32_t> nodes(n);
-  std::iota(nodes.begin(), nodes.end(), 0u);
-  std::sort(nodes.begin(), nodes.end(), [&graph](uint32_t x, uint32_t y) {
-    const uint32_t dx = graph.Degree(x), dy = graph.Degree(y);
-    return dx != dy ? dx > dy : x < y;
-  });
+  // Nodes by degree, descending (ties by id).
+  uint32_t max_degree = 0;
+  for (uint32_t u = 0; u < n; ++u) {
+    max_degree = std::max(max_degree, graph.Degree(u));
+  }
+  const std::vector<uint32_t> nodes =
+      CountingOrder(n, max_degree + 1, [&graph, max_degree](uint32_t u) {
+        return max_degree - graph.Degree(u);
+      });
 
   // Kronecker positions by popcount, ascending (ties by id).
-  std::vector<uint32_t> positions(n);
-  std::iota(positions.begin(), positions.end(), 0u);
-  std::sort(positions.begin(), positions.end(), [](uint32_t x, uint32_t y) {
-    const int px = __builtin_popcount(x), py = __builtin_popcount(y);
-    return px != py ? px < py : x < y;
-  });
+  const std::vector<uint32_t> positions =
+      CountingOrder(n, k + 1, [](uint32_t p) {
+        return static_cast<uint32_t>(__builtin_popcount(p));
+      });
 
   std::vector<uint32_t> sigma(n);
   for (uint32_t rank = 0; rank < n; ++rank) {

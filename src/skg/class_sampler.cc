@@ -110,13 +110,17 @@ Graph SampleSkgClassSkip(const Initiator2& theta, uint32_t k, Rng& rng) {
         }
         continue;
       }
-      // Exact Binomial thinning of the class via geometric skips.
+      // Exact Binomial thinning of the class via geometric skips. The
+      // loop stops before `index + 1 + skip` could pass `size` (or wrap,
+      // for a saturated skip).
       uint64_t index = rng.NextGeometric(p);
       while (index < size) {
         const auto [u, v] = UnrankPair(k, i, j, index);
         builder.AddEdge(static_cast<Graph::NodeId>(u),
                         static_cast<Graph::NodeId>(v));
-        index += 1 + rng.NextGeometric(p);
+        const uint64_t skip = rng.NextGeometric(p);
+        if (skip >= size - index - 1) break;
+        index += 1 + skip;
       }
     }
   }

@@ -229,13 +229,15 @@ TEST(RecordCodecTest, ShortAndOverlongRecordsFlagNotOk) {
   EXPECT_TRUE(trailing.ok());
   EXPECT_TRUE(trailing.done());
 
-  RecordParser partial(RecordBuilder().U32(1).U32(2).str());
+  const std::string two = RecordBuilder().U32(1).U32(2).str();
+  RecordParser partial(two);  // a parser views, not owns, its bytes
   partial.U32();
   EXPECT_TRUE(partial.ok());
   EXPECT_FALSE(partial.done());  // trailing garbage -> not done
 
   // A string whose recorded length exceeds the remaining bytes.
-  RecordParser bad_str(RecordBuilder().U32(1000).str());
+  const std::string long_len = RecordBuilder().U32(1000).str();
+  RecordParser bad_str(long_len);
   bad_str.Str();
   EXPECT_FALSE(bad_str.ok());
 }

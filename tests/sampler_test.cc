@@ -1,5 +1,6 @@
 #include "src/skg/sampler.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -51,6 +52,32 @@ TEST(SamplerTest, EmpiricalEdgeCountMatchesExpectation) {
   const double mean = total / runs;
   const double expected = ExpectedEdges(theta, k);
   EXPECT_NEAR(mean, expected, 0.04 * expected);
+}
+
+// A class whose pair probability is below ~1e-19 needs a geometric skip
+// of 2^64 or more; when that skip was cast to 0 the class came out
+// complete, and a small c at large i is enough to reach such classes.
+// Both fast samplers must track the closed-form edge count at every c.
+// sqrt(E) bounds the sd of the exact (Poisson-binomial) law from above
+// and is the sd of the edge-skip target law.
+TEST(SamplerTest, TinyClassEdgeCountsMatchClosedForm) {
+  for (const SkgSampleMethod method :
+       {SkgSampleMethod::kClassSkip, SkgSampleMethod::kEdgeSkip}) {
+    SkgSampleOptions options;
+    options.method = method;
+    for (const uint32_t k : {10u, 14u}) {
+      for (const double c : {1e-12, 1e-9, 1e-6, 1e-3, 0.1}) {
+        const Initiator2 theta{0.84, 0.7178, c};
+        Rng rng(1000 + k);
+        const double expected = ExpectedEdges(theta, k);
+        const double sd = std::sqrt(std::max(expected, 1.0));
+        EXPECT_NEAR(double(SampleSkg(theta, k, rng, options).NumEdges()),
+                    expected, 6 * sd)
+            << "method=" << static_cast<int>(method) << " k=" << k
+            << " c=" << c;
+      }
+    }
+  }
 }
 
 TEST(SamplerTest, PerPairFrequencyMatchesProbability) {

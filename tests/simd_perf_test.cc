@@ -1,23 +1,18 @@
 // Release-mode performance gates for the dispatched SIMD kernels: the
-// AVX2 paths must actually beat (or, where the scalar loop is already at
-// the hardware floor, at least never lose to) the forced-scalar
-// fallback. All comparisons are in-process and interleaved — scalar and
+// AVX2 paths must actually beat the forced-scalar fallback. All
+// comparisons are in-process and interleaved — scalar and
 // AVX2 reps alternate and each side keeps its minimum — because
 // cross-run wall-clock on shared CI machines swings ±10–20% while
 // interleaved min-of-reps ratios stay stable.
 //
-// Gates (speedup = scalar_time / avx2_time):
-//   - triangle counting ≥ 2.0× (measured ~2.9× at 1 thread, ~2.4× at
-//     4 threads on a 4-core AVX2 Xeon; the gate runs at hardware
-//     concurrency);
-//   - edge-gradient reduction ≥ 1.05× (measured ~1.3×);
-//   - Metropolis swap chain ≥ 0.9× (i.e. no regression). The swap loop
-//     is latency-bound on random position/table loads that out-of-order
-//     execution already overlaps — a long line of vectorized variants
-//     measured at or below the plain fused loop — so its AVX2 win is
-//     the per-swap abstraction cost and the exp-free accept test
-//     (~1.1×), below the 2× the other kernels clear. The gate holds
-//     that the AVX2 path must never be slower than dispatch fallback.
+// Gate (speedup = scalar_time / avx2_time): triangle counting ≥ 2.0×
+// (measured ~2.9× at 1 thread, ~2.4× at 4 threads on a 4-core AVX2
+// Xeon; the gate runs at hardware concurrency).
+//
+// KronFit has no gate because it has no AVX2 path. Its edge-gradient
+// kernel read 0.92–1.04× against a 1.05 bound depending on code layout
+// alone, and its Metropolis swap loop is latency-bound (see
+// src/kronfit/likelihood.h), so one portable loop serves every level.
 //
 // The tests skip themselves outside their operating envelope: debug
 // builds (timings meaningless under -O0/assertions), non-AVX2 CPUs
@@ -37,9 +32,6 @@
 #include "src/common/simd.h"
 #include "src/graph/graph.h"
 #include "src/graph/triangles.h"
-#include "src/kronfit/kronfit.h"
-#include "src/kronfit/likelihood.h"
-#include "src/kronfit/permutation.h"
 #include "src/skg/sampler.h"
 
 namespace dpkron {
@@ -109,48 +101,6 @@ TEST(SimdPerfGate, TriangleCountingAtLeast2x) {
   EXPECT_EQ(scalar_count, simd_count);
   EXPECT_GE(speedup, 2.0) << "triangle kernel under-performing: "
                           << speedup << "x vs forced scalar";
-}
-
-TEST(SimdPerfGate, EdgeGradientFaster) {
-  DPKRON_REQUIRE_PERF_ENV();
-  const uint32_t k = 12;
-  const Graph g = PerfGraph(k);
-  const KronFitLikelihood model({0.9, 0.6, 0.2}, k);
-  const PermutationState sigma = DegreeGuidedInit(g, k);
-  Gradient3 scalar_grad{}, simd_grad{};
-  const double speedup = InterleavedSpeedup(
-      7,
-      [&] {
-        for (int i = 0; i < 8; ++i) scalar_grad = model.EdgeGradient(g, sigma);
-      },
-      [&] {
-        for (int i = 0; i < 8; ++i) simd_grad = model.EdgeGradient(g, sigma);
-      });
-  EXPECT_EQ(scalar_grad, simd_grad);
-  EXPECT_GE(speedup, 1.05) << "edge-gradient kernel under-performing: "
-                           << speedup << "x vs forced scalar";
-}
-
-TEST(SimdPerfGate, MetropolisSwapsNoRegression) {
-  DPKRON_REQUIRE_PERF_ENV();
-  const uint32_t k = 12;
-  const Graph g = PerfGraph(k);
-  const KronFitLikelihood model({0.9, 0.6, 0.2}, k);
-  // Two chain banks from one seed: bit-identity keeps them in lockstep,
-  // so every interleaved rep advances both through the exact same
-  // trajectory (identical work on both sides by construction).
-  Rng seed_a(99), seed_b(99);
-  MetropolisChains scalar_chains(g, k, 1, seed_a);
-  MetropolisChains simd_chains(g, k, 1, seed_b);
-  const uint64_t swaps = 2 * uint64_t{g.NumNodes()};
-  const double speedup = InterleavedSpeedup(
-      7, [&] { scalar_chains.Advance(model, swaps); },
-      [&] { simd_chains.Advance(model, swaps); });
-  EXPECT_EQ(scalar_chains.BestLogLikelihood(model),
-            simd_chains.BestLogLikelihood(model));
-  EXPECT_GE(speedup, 0.9) << "AVX2 Metropolis path regressed below the "
-                             "scalar fallback: "
-                          << speedup << "x";
 }
 
 }  // namespace

@@ -21,9 +21,6 @@
 #include "src/graph/intersect_kernels.h"
 #include "src/graph/node_stats.h"
 #include "src/graph/triangles.h"
-#include "src/kronfit/kronfit.h"
-#include "src/kronfit/likelihood.h"
-#include "src/kronfit/permutation.h"
 #include "src/linalg/spmv.h"
 #include "src/skg/sampler.h"
 
@@ -86,72 +83,6 @@ TEST(SimdDispatchTest, LevelNamesAndCapRoundTrip) {
   // Active never exceeds either bound.
   EXPECT_LE(ActiveSimdLevel(), DetectedSimdLevel());
   EXPECT_LE(ActiveSimdLevel(), SimdLevelCap());
-}
-
-TEST(SimdParityTest, SwapDeltaBitIdentical) {
-  for (const uint32_t k : {4u, 8u, 10u}) {
-    Rng graph_rng(100 + k);
-    const Graph g = SampleSkg({0.99, 0.55, 0.35}, k, graph_rng);
-    for (const Initiator2& theta :
-         {Initiator2{0.9, 0.6, 0.2}, Initiator2{0.99, 0.55, 0.35},
-          Initiator2{0.5, 0.5, 0.5}}) {
-      const KronFitLikelihood model(theta, k);
-      PermutationState sigma = DegreeGuidedInit(g, k);
-      Rng perturb_rng(7);
-      PerturbUniform(&sigma, g.NumNodes() / 2, perturb_rng);
-      Rng pair_rng(42);
-      for (int trial = 0; trial < 200; ++trial) {
-        const auto u =
-            static_cast<uint32_t>(pair_rng.NextBounded(g.NumNodes()));
-        const auto v =
-            static_cast<uint32_t>(pair_rng.NextBounded(g.NumNodes()));
-        std::optional<double> reference;
-        for (SimdLevel level : TestableLevels()) {
-          ScopedSimdLevelCap cap(level);
-          const double delta = model.SwapDelta(g, sigma, u, v);
-          if (!reference) {
-            reference = delta;
-          } else {
-            EXPECT_EQ(*reference, delta)
-                << "k=" << k << " u=" << u << " v=" << v << " level="
-                << SimdLevelName(level);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdParityTest, LogLikelihoodAndGradientBitIdentical) {
-  for (const uint32_t k : {6u, 10u}) {
-    Rng graph_rng(200 + k);
-    const Graph g = SampleSkg({0.99, 0.55, 0.35}, k, graph_rng);
-    const KronFitLikelihood model({0.9, 0.6, 0.2}, k);
-    PermutationState sigma = DegreeGuidedInit(g, k);
-    Rng perturb_rng(8);
-    PerturbUniform(&sigma, g.NumNodes() / 2, perturb_rng);
-    std::optional<double> ll_ref;
-    std::optional<Gradient3> grad_ref;
-    for (SimdLevel level : TestableLevels()) {
-      ScopedSimdLevelCap cap(level);
-      for (const int threads : {1, 2, 8}) {
-        ScopedThreads scoped(threads);
-        const double ll = model.LogLikelihood(g, sigma);
-        const Gradient3 grad = model.EdgeGradient(g, sigma);
-        if (!ll_ref) {
-          ll_ref = ll;
-          grad_ref = grad;
-          continue;
-        }
-        EXPECT_EQ(*ll_ref, ll) << "k=" << k << " level="
-                               << SimdLevelName(level) << " threads="
-                               << threads;
-        EXPECT_EQ(*grad_ref, grad) << "k=" << k << " level="
-                                   << SimdLevelName(level) << " threads="
-                                   << threads;
-      }
-    }
-  }
 }
 
 TEST(SimdParityTest, TriangleKernelsExactAcrossLevelsAndThreads) {
@@ -440,41 +371,6 @@ TEST(SimdParityTest, AnfHopPlotBitIdentical) {
       }
       EXPECT_EQ(*reference, hop_plot)
           << "level=" << SimdLevelName(level) << " threads=" << threads;
-    }
-  }
-}
-
-// End-to-end trajectory parity: the Metropolis loop (fast accept path
-// with the exp shortcut) plus SwapDelta plus EdgeGradient, over several
-// gradient iterations — if any dispatch-level divergence slipped through
-// the unit parity tests, trajectories would split here.
-TEST(SimdParityTest, MetropolisTrajectoryBitIdentical) {
-  const uint32_t k = 8;
-  Rng graph_rng(55);
-  const Graph g = SampleSkg({0.99, 0.55, 0.35}, k, graph_rng);
-  std::optional<std::vector<Gradient3>> reference;
-  std::optional<double> ll_ref;
-  for (SimdLevel level : TestableLevels()) {
-    ScopedSimdLevelCap cap(level);
-    for (const int threads : {1, 2, 8}) {
-      ScopedThreads scoped(threads);
-      Rng rng(13);
-      MetropolisChains chains(g, k, /*num_chains=*/3, rng);
-      const KronFitLikelihood model({0.9, 0.6, 0.2}, k);
-      std::vector<Gradient3> trajectory;
-      for (int it = 0; it < 3; ++it) {
-        trajectory.push_back(
-            chains.SampleGradient(model, 2 * uint64_t{g.NumNodes()}));
-      }
-      const double ll = chains.BestLogLikelihood(model);
-      if (!reference) {
-        reference = trajectory;
-        ll_ref = ll;
-        continue;
-      }
-      EXPECT_EQ(*reference, trajectory)
-          << "level=" << SimdLevelName(level) << " threads=" << threads;
-      EXPECT_EQ(*ll_ref, ll);
     }
   }
 }
