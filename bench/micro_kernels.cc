@@ -49,17 +49,6 @@ void BM_SampleSkgExact(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleSkgExact)->Arg(8)->Arg(10)->Arg(12);
 
-void BM_SampleSkgBallDrop(benchmark::State& state) {
-  Rng rng(3);
-  const uint32_t k = static_cast<uint32_t>(state.range(0));
-  SkgSampleOptions options;
-  options.method = SkgSampleMethod::kBallDrop;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SampleSkg({0.99, 0.45, 0.25}, k, rng, options));
-  }
-}
-BENCHMARK(BM_SampleSkgBallDrop)->Arg(10)->Arg(12)->Arg(14);
-
 void BM_SampleSkgClassSkip(benchmark::State& state) {
   Rng rng(8);
   const uint32_t k = static_cast<uint32_t>(state.range(0));
@@ -130,7 +119,7 @@ void BM_ExpectedStatistics(benchmark::State& state) {
   for (auto _ : state) {
     Rng rng(77);
     benchmark::DoNotOptimize(
-        ExpectedStatistics({0.99, 0.55, 0.35}, 10, 16, rng, options));
+        ReleasePipeline(options).Expected({0.99, 0.55, 0.35}, 10, 16, rng));
   }
 }
 BENCHMARK(BM_ExpectedStatistics)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
@@ -406,7 +395,8 @@ void BM_EdgeListCacheReload(benchmark::State& state) {
   const IngestFixture& f = Ingest();
   bool hit = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ReadEdgeListCached(f.text_path, &hit));
+    benchmark::DoNotOptimize(
+        OpenEdgeListSidecar(f.text_path, /*mmap=*/false, &hit));
   }
   if (!hit) state.SkipWithError("cache miss on warm sidecar");
   state.SetBytesProcessed(state.iterations() *

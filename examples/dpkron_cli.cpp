@@ -119,8 +119,8 @@ int RunRelease(const Flags& flags) {
     std::fprintf(stderr, "%s\n", fit.status().ToString().c_str());
     return 1;
   }
-  const Graph synthetic = SampleSyntheticGraph(fit.value().theta,
-                                               fit.value().k, rng);
+  const Graph synthetic =
+      ReleasePipeline().Sample(fit.value().theta, fit.value().k, rng);
   if (Status s = WriteEdgeList(synthetic, flags.positional[1]); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
@@ -145,8 +145,7 @@ int RunSample(const Flags& flags) {
     return 1;
   }
   Rng rng(flags.seed);
-  const Graph g =
-      SampleSyntheticGraph(theta, k, rng, SkgSampleMethod::kClassSkip);
+  const Graph g = ReleasePipeline().Sample(theta, k, rng);
   if (Status s = WriteEdgeList(g, flags.positional[4]); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;

@@ -71,9 +71,8 @@ int main(int argc, char** argv) {
 
   // A sampled synthetic graph is post-processing of the private estimate:
   // publishing it costs no additional privacy budget.
-  const Graph synthetic = SampleSyntheticGraph(
-      estimate.value().theta, estimate.value().k, rng,
-      SkgSampleMethod::kClassSkip);
+  const Graph synthetic =
+      ReleasePipeline().Sample(estimate.value().theta, estimate.value().k, rng);
   if (Status s = WriteEdgeList(synthetic, output_path); !s.ok()) {
     std::fprintf(stderr, "write failed: %s\n", s.ToString().c_str());
     return 1;

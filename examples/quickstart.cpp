@@ -49,9 +49,9 @@ int main() {
   std::printf("%s", budget.ToString().c_str());
 
   // 3. Anyone can now sample synthetic graphs from the published model.
-  const Graph synthetic = SampleSyntheticGraph(
-      estimate.value().theta, estimate.value().k, rng,
-      SkgSampleMethod::kExact);
+  const Graph synthetic = ReleasePipeline({}, SkgSampleMethod::kExact)
+                              .Sample(estimate.value().theta,
+                                      estimate.value().k, rng);
 
   // 4. Compare a few statistics.
   const auto hops_orig = ExactHopPlot(sensitive);

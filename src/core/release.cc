@@ -314,22 +314,4 @@ Graph ReleasePipeline::Sample(const Initiator2& theta, uint32_t k,
   return SampleSkg(theta, k, rng, options);
 }
 
-GraphStatistics ComputeStatistics(GraphView graph, Rng& rng,
-                                  const StatisticsOptions& options) {
-  return ReleasePipeline(options).Compute(graph, rng);
-}
-
-GraphStatistics ExpectedStatistics(const Initiator2& theta, uint32_t k,
-                                   uint32_t realizations, Rng& rng,
-                                   const StatisticsOptions& options,
-                                   SkgSampleMethod method) {
-  return ReleasePipeline(options, method).Expected(theta, k, realizations,
-                                                   rng);
-}
-
-Graph SampleSyntheticGraph(const Initiator2& theta, uint32_t k, Rng& rng,
-                           SkgSampleMethod method) {
-  return ReleasePipeline({}, method).Sample(theta, k, rng);
-}
-
 }  // namespace dpkron

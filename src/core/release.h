@@ -131,20 +131,6 @@ class ReleasePipeline {
   SkgSampleMethod method_;
 };
 
-// Free-function façade over a default-constructed pipeline (the pre-
-// pipeline API; examples and tests use it for one-off computations).
-GraphStatistics ComputeStatistics(GraphView graph, Rng& rng,
-                                  const StatisticsOptions& options = {});
-
-GraphStatistics ExpectedStatistics(const Initiator2& theta, uint32_t k,
-                                   uint32_t realizations, Rng& rng,
-                                   const StatisticsOptions& options = {},
-                                   SkgSampleMethod method =
-                                       SkgSampleMethod::kClassSkip);
-
-Graph SampleSyntheticGraph(const Initiator2& theta, uint32_t k, Rng& rng,
-                           SkgSampleMethod method = SkgSampleMethod::kClassSkip);
-
 }  // namespace dpkron
 
 #endif  // DPKRON_CORE_RELEASE_H_

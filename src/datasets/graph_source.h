@@ -1,13 +1,13 @@
-// GraphSource — the unified ingestion abstraction: every graph that
-// enters the system comes from one of three source kinds, resolved from
-// a single reference string.
+// GraphSource — the one way a graph enters the system. Every graph
+// comes from one of three source kinds, resolved from a single
+// reference string, and OpenGraph is the only opener:
 //
 //   * kGenerator — a synthetic registry dataset ("CA-GrQC-like", ...),
 //     produced in-process by the entry's generator;
 //   * kEdgeList  — a SNAP-style text edge list on disk, parsed by the
 //     chunked parallel reader (optionally through the .dpkb sidecar
 //     cache: parse once, binary-load thereafter);
-//   * kBinary    — a .dpkb binary CSR file, loaded directly.
+//   * kBinary    — a .dpkb (v3) binary CSR file, loaded directly.
 //
 // Resolution is by the reference itself: a registered dataset name wins,
 // a path ending in ".dpkb" is binary, any other existing file is an
@@ -43,17 +43,17 @@ struct GraphSource {
 };
 
 struct GraphLoadOptions {
-  // For kEdgeList sources: load through the .dpkb sidecar cache
-  // (ReadEdgeListCached) instead of re-parsing the text every run.
+  // For kEdgeList sources: open through the .dpkb sidecar cache
+  // (OpenEdgeListSidecar) instead of re-parsing the text every run.
   bool use_cache = false;
 
   // Serve file-backed sources out-of-core, as a view over an mmap'd
-  // .dpkb (LoadGraphHandle only): kBinary maps the file directly in
-  // O(header), kEdgeList maps its sidecar (rebuilding it if stale, so
-  // this implies the cache), and generators stay in-RAM — there is no
-  // file to map. Purely an execution strategy: the handle's view hashes
-  // to the same fingerprint either way, so results and cache entries
-  // are bit-identical to an in-RAM load.
+  // .dpkb: kBinary maps the file directly in O(header), kEdgeList maps
+  // its sidecar (rebuilding it if stale, so this implies the cache), and
+  // generators stay in-RAM — there is no file to map. Purely an
+  // execution strategy: the handle's view hashes to the same fingerprint
+  // either way, so results and cache entries are bit-identical to an
+  // in-RAM open.
   bool mmap = false;
 };
 
@@ -62,26 +62,14 @@ struct GraphLoadOptions {
 // lists the registered names.
 Result<GraphSource> ResolveGraphSource(const std::string& ref);
 
-// Materializes the graph. Generator sources consume `rng` exactly as
-// MakeDataset does; file-backed sources never touch it (so a scenario's
-// RNG stream protocol is unchanged by swapping a file in).
-Result<Graph> LoadGraph(const GraphSource& source, Rng& rng,
-                        const GraphLoadOptions& options = {});
-
-// ResolveGraphSource + LoadGraph in one step.
-Result<Graph> LoadGraphRef(const std::string& ref, Rng& rng,
-                           const GraphLoadOptions& options = {});
-
-// Like LoadGraph, but the result is an owning handle whose backing the
-// options choose: in-RAM arenas (always, for generators; default for
-// files) or an mmap'd .dpkb (options.mmap). This is what the scenario
-// engine consumes — kernels take the handle's GraphView either way.
-Result<GraphHandle> LoadGraphHandle(const GraphSource& source, Rng& rng,
-                                    const GraphLoadOptions& options = {});
-
-// ResolveGraphSource + LoadGraphHandle in one step.
-Result<GraphHandle> LoadGraphHandleRef(const std::string& ref, Rng& rng,
-                                       const GraphLoadOptions& options = {});
+// Resolves `ref` and opens the graph as an owning handle whose backing
+// the options choose: in-RAM arenas (always, for generators; default
+// for files) or an mmap'd .dpkb (options.mmap). Kernels take the
+// handle's GraphView either way. Generator sources consume `rng`
+// exactly as MakeDataset does; file-backed sources never touch it (so a
+// scenario's RNG stream protocol is unchanged by swapping a file in).
+Result<GraphHandle> OpenGraph(const std::string& ref, Rng& rng,
+                              const GraphLoadOptions& options = {});
 
 }  // namespace dpkron
 

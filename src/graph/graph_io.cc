@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -257,38 +258,29 @@ Status WriteEdgeList(GraphView graph, const std::string& path) {
 namespace {
 
 constexpr char kDpkbMagic[8] = {'D', 'P', 'K', 'B', 'C', 'S', 'R', '1'};
-// Version 2 added source_checksum (and 8 bytes of header); version 3
-// moved the two CSR arrays onto 64-byte-aligned section boundaries so
-// an mmap of the file serves SIMD-alignable arrays in place. Readers
-// accept 2 (packed) and 3 (aligned); writers emit 3. Version 1 files
-// fail the version check, which the sidecar-cache path treats as
-// "stale": old caches are silently reparsed and rewritten, never
-// misloaded (tests/graph_io_test.cc exercises a crafted v1 file).
-constexpr uint32_t kDpkbVersionPacked = 2;
+// Version 3 puts the two CSR arrays on 64-byte-aligned section
+// boundaries so an mmap of the file serves SIMD-alignable arrays in
+// place. It is the only version read or written: v1 (no source
+// checksum) and v2 (packed arrays) fail the version check, which the
+// sidecar route treats as "stale" — old caches are silently reparsed
+// and rewritten, never misloaded (tests/graph_io_test.cc crafts both).
 constexpr uint32_t kDpkbVersion = 3;
 
-// v3 section geometry. The header struct stays 56 bytes; v3 pads it to
-// the first section boundary.
+// Section geometry. The header struct is 56 bytes, padded to the first
+// section boundary.
 constexpr uint64_t kDpkbSectionAlign = 64;
+constexpr uint64_t kOffsetsSectionStart = kDpkbSectionAlign;
 
 uint64_t AlignUp(uint64_t value) {
   return (value + kDpkbSectionAlign - 1) & ~(kDpkbSectionAlign - 1);
 }
 
-uint64_t OffsetsSectionStart(uint32_t version) {
-  return version >= 3 ? kDpkbSectionAlign : 56;
+uint64_t AdjacencySectionStart(uint64_t num_nodes) {
+  return AlignUp(kOffsetsSectionStart + sizeof(uint32_t) * (num_nodes + 1));
 }
 
-uint64_t AdjacencySectionStart(uint32_t version, uint64_t num_nodes) {
-  const uint64_t end = OffsetsSectionStart(version) +
-                       sizeof(uint32_t) * (num_nodes + 1);
-  return version >= 3 ? AlignUp(end) : end;
-}
-
-uint64_t ExpectedFileSize(uint32_t version, uint64_t num_nodes,
-                          uint64_t adjacency_len) {
-  return AdjacencySectionStart(version, num_nodes) +
-         sizeof(uint32_t) * adjacency_len;
+uint64_t ExpectedFileSize(uint64_t num_nodes, uint64_t adjacency_len) {
+  return AdjacencySectionStart(num_nodes) + sizeof(uint32_t) * adjacency_len;
 }
 
 struct DpkbHeader {
@@ -314,8 +306,7 @@ uint64_t PayloadChecksum(std::span<const uint32_t> offsets,
   // Word-wise FNV-1a (see fnv.h): this checksum is recomputed over the
   // full CSR payload on every cached load, so throughput is part of the
   // cache's >=10x contract. Must stay the Graph::ContentFingerprint
-  // formula exactly — the section padding v3 introduced is NOT hashed,
-  // so v2 and v3 files of one graph record the same checksum.
+  // formula exactly — the section padding is NOT hashed.
   uint64_t hash = Fnv1a64Words(offsets.data(), offsets.size_bytes());
   return Fnv1a64Words(adjacency.data(), adjacency.size_bytes(), hash);
 }
@@ -327,9 +318,10 @@ Status ValidateDpkbHeader(const DpkbHeader& header, uint64_t file_size,
   if (std::memcmp(header.magic, kDpkbMagic, sizeof(kDpkbMagic)) != 0) {
     return Status::InvalidArgument(path + ": not a dpkb file (bad magic)");
   }
-  if (header.version != kDpkbVersionPacked && header.version != kDpkbVersion) {
+  if (header.version != kDpkbVersion) {
     return Status::InvalidArgument(
-        path + ": unsupported dpkb version " + std::to_string(header.version));
+        path + ": unsupported dpkb version " + std::to_string(header.version) +
+        " (only version " + std::to_string(kDpkbVersion) + " is readable)");
   }
   if (header.num_nodes >= std::numeric_limits<uint32_t>::max() ||
       header.adjacency_len > std::numeric_limits<uint32_t>::max() ||
@@ -337,7 +329,7 @@ Status ValidateDpkbHeader(const DpkbHeader& header, uint64_t file_size,
     return Status::InvalidArgument(path + ": implausible dpkb counts");
   }
   const uint64_t expected_size =
-      ExpectedFileSize(header.version, header.num_nodes, header.adjacency_len);
+      ExpectedFileSize(header.num_nodes, header.adjacency_len);
   if (file_size != expected_size) {
     return Status::InvalidArgument(
         path + ": dpkb size mismatch (header promises " +
@@ -388,16 +380,15 @@ Status WriteBinaryGraph(GraphView graph, const std::string& path,
   header.source_size = source.size;
   header.source_checksum = source.checksum;
 
-  // v3 section padding: the header region runs to byte 64, and the
+  // Section padding: the header region runs to byte 64, and the
   // adjacency section starts on the next 64-byte boundary past the
   // offsets. Padding bytes are zero and excluded from the checksum.
   const char zeros[kDpkbSectionAlign] = {};
-  const uint64_t header_pad = OffsetsSectionStart(header.version) -
-                              sizeof(header);
-  const uint64_t offsets_end = OffsetsSectionStart(header.version) +
-                               sizeof(uint32_t) * (header.num_nodes + 1);
+  const uint64_t header_pad = kOffsetsSectionStart - sizeof(header);
+  const uint64_t offsets_end =
+      kOffsetsSectionStart + sizeof(uint32_t) * (header.num_nodes + 1);
   const uint64_t offsets_pad =
-      AdjacencySectionStart(header.version, header.num_nodes) - offsets_end;
+      AdjacencySectionStart(header.num_nodes) - offsets_end;
 
   // Write-temp → Sync → rename → SyncDir through the Env seam. The sync
   // BEFORE the rename is load-bearing: rename-without-fsync can commit
@@ -414,9 +405,7 @@ Status WriteBinaryGraph(GraphView graph, const std::string& path,
   auto file = env->NewWritableFile(temp);
   if (!file.ok()) return file.status();
   Status status = file.value()->Append(&header, sizeof(header));
-  if (status.ok() && header_pad != 0) {
-    status = file.value()->Append(zeros, header_pad);
-  }
+  if (status.ok()) status = file.value()->Append(zeros, header_pad);
   if (status.ok() && !graph.Offsets().empty()) {
     status = file.value()->Append(graph.Offsets().data(),
                                   sizeof(uint32_t) * graph.Offsets().size());
@@ -460,14 +449,12 @@ Result<Graph> ReadBinaryGraph(const std::string& path,
 
   Graph::OffsetVector offsets(header.num_nodes + 1);
   Graph::AdjacencyVector adjacency(header.adjacency_len);
-  std::memcpy(offsets.data(),
-              data.data() + OffsetsSectionStart(header.version),
+  std::memcpy(offsets.data(), data.data() + kOffsetsSectionStart,
               sizeof(uint32_t) * offsets.size());
   if (!adjacency.empty()) {
-    std::memcpy(
-        adjacency.data(),
-        data.data() + AdjacencySectionStart(header.version, header.num_nodes),
-        sizeof(uint32_t) * adjacency.size());
+    std::memcpy(adjacency.data(),
+                data.data() + AdjacencySectionStart(header.num_nodes),
+                sizeof(uint32_t) * adjacency.size());
   }
   if (PayloadChecksum(offsets, adjacency) != header.checksum) {
     return Status::InvalidArgument(path + ": dpkb checksum mismatch");
@@ -503,7 +490,6 @@ MmapGraph::~MmapGraph() {
 }
 
 GraphView MmapGraph::view() const {
-  if (map_ == nullptr) return GraphView(fallback_);
   return GraphView(offsets_, adjacency_, &fingerprint_);
 }
 
@@ -544,16 +530,6 @@ Result<std::shared_ptr<MmapGraph>> MmapGraph::Open(const std::string& path,
   auto graph = std::shared_ptr<MmapGraph>(new MmapGraph());
   graph->stamp_ = DpkbSourceStamp{header.source_size, header.source_checksum};
 
-  if (header.version < 3) {
-    // Packed v2 layout: the arrays are not mappable in place (offsets
-    // start at byte 56). Degrade to the copying reader — same validation
-    // semantics, just materialized.
-    auto fallback = ReadBinaryGraph(path);
-    if (!fallback.ok()) return fallback.status();
-    graph->fallback_ = std::move(fallback.value());
-    return graph;
-  }
-
   void* map = ::mmap(nullptr, file_size, PROT_READ, MAP_SHARED, fd.fd, 0);
   if (map == MAP_FAILED) {
     return Status::Unavailable(path + ": mmap: " + std::strerror(errno));
@@ -562,12 +538,11 @@ Result<std::shared_ptr<MmapGraph>> MmapGraph::Open(const std::string& path,
   graph->map_len_ = file_size;
   const auto* base = static_cast<const char*>(map);
   graph->offsets_ = std::span<const uint32_t>(
-      reinterpret_cast<const uint32_t*>(
-          base + OffsetsSectionStart(header.version)),
+      reinterpret_cast<const uint32_t*>(base + kOffsetsSectionStart),
       header.num_nodes + 1);
   graph->adjacency_ = std::span<const Graph::NodeId>(
       reinterpret_cast<const Graph::NodeId*>(
-          base + AdjacencySectionStart(header.version, header.num_nodes)),
+          base + AdjacencySectionStart(header.num_nodes)),
       header.adjacency_len);
   // The write-time checksum IS the content fingerprint by the format
   // contract, so StatCache keys match the in-RAM backing without a
@@ -578,10 +553,9 @@ Result<std::shared_ptr<MmapGraph>> MmapGraph::Open(const std::string& path,
   // (degrees, chunk bounds), so always prefetch it; the adjacency
   // streams under page-cache control unless the caller asks for a full
   // prefault. Advisory — failures are ignored.
-  (void)::madvise(map, options.populate
-                           ? file_size
-                           : AdjacencySectionStart(header.version,
-                                                   header.num_nodes),
+  (void)::madvise(map,
+                  options.populate ? file_size
+                                   : AdjacencySectionStart(header.num_nodes),
                   MADV_WILLNEED);
 
   // O(1) endpoint sanity even on trusted opens: catches a payload that
@@ -651,33 +625,55 @@ class SidecarLockGuard {
   bool held_ = false;
 };
 
-// The sidecar route once the source bytes are in hand: binary-load if
-// the recorded stamp matches the current content, else parse the bytes
-// and (best-effort) rewrite the sidecar. `sidecar_hit` reports which
-// route served the graph.
-Result<Graph> LoadViaSidecar(const std::string& path,
-                             const std::string& bytes,
-                             const DpkbSourceStamp& current,
-                             const EdgeListParseOptions& options,
-                             bool* sidecar_hit) {
+bool SameStamp(const DpkbSourceStamp& a, const DpkbSourceStamp& b) {
+  return a.size == b.size && a.checksum == b.checksum;
+}
+
+// Serves the sidecar in the requested backing if it opens clean and
+// carries the `current` source stamp; nullopt on every kind of miss
+// (absent, stale, old-version, corrupt). A standalone .dpkb (stamp
+// {0, 0}) never matches: the FNV-1a checksum of any source text — even
+// empty — is non-zero.
+std::optional<GraphHandle> ServeSidecar(const std::string& cache,
+                                        const DpkbSourceStamp& current,
+                                        bool mmap) {
+  if (mmap) {
+    auto mapped = MmapGraph::Open(cache);
+    if (mapped.ok() && SameStamp(mapped.value()->source_stamp(), current)) {
+      return GraphHandle(std::move(mapped.value()));
+    }
+    return std::nullopt;
+  }
+  DpkbSourceStamp recorded;
+  auto graph = ReadBinaryGraph(cache, &recorded);
+  if (graph.ok() && SameStamp(recorded, current)) {
+    return GraphHandle(std::move(graph.value()));
+  }
+  return std::nullopt;
+}
+
+// The sidecar route once the source bytes are in hand: serve the
+// sidecar if its stamp matches the current content, else parse the
+// bytes and (best-effort) rewrite it. `sidecar_hit` reports which route
+// served the graph.
+Result<GraphHandle> OpenViaSidecar(const std::string& path,
+                                   const std::string& bytes,
+                                   const DpkbSourceStamp& current, bool mmap,
+                                   const EdgeListParseOptions& options,
+                                   bool* sidecar_hit) {
   *sidecar_hit = false;
   const std::string cache = BinaryCachePath(path);
-  DpkbSourceStamp recorded;
-  auto cached = ReadBinaryGraph(cache, &recorded);
-  if (cached.ok() && recorded.size == current.size &&
-      recorded.checksum == current.checksum) {
-    // A standalone .dpkb (stamp {0, 0}) can never match: the FNV-1a
-    // checksum of any source text — even empty — is non-zero.
+  if (auto served = ServeSidecar(cache, current, mmap)) {
     *sidecar_hit = true;
-    return cached;
+    return std::move(*served);
   }
 
   // Cache miss ⇒ rebuild, behind the cross-process lock so N processes
-  // cold-starting on one dataset do one parse. A loser waits, re-reading
+  // cold-starting on one dataset do one parse. A loser waits, re-opening
   // the sidecar each poll: the winner's atomic rename turns the miss
   // into a hit mid-wait. A lock that outlives lock_stale_ms is presumed
   // orphaned by a crashed holder and broken. The in-PROCESS analogue of
-  // this dedup is the StatCache memo in ReadEdgeListCached.
+  // this dedup is the StatCache memo in OpenEdgeListSidecar.
   SidecarLockGuard lock(cache + ".lock");
   const Status acquired = lock.TryAcquire();
   if (!acquired.ok() && acquired.code() == StatusCode::kFailedPrecondition) {
@@ -686,11 +682,9 @@ Result<Graph> LoadViaSidecar(const std::string& path,
     while (waited_ms < options.lock_stale_ms) {
       std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
       waited_ms += poll_ms;
-      auto rebuilt = ReadBinaryGraph(cache, &recorded);
-      if (rebuilt.ok() && recorded.size == current.size &&
-          recorded.checksum == current.checksum) {
+      if (auto served = ServeSidecar(cache, current, mmap)) {
         *sidecar_hit = true;
-        return rebuilt;
+        return std::move(*served);
       }
       if (lock.TryAcquire().ok()) break;  // holder released without a write
     }
@@ -701,27 +695,36 @@ Result<Graph> LoadViaSidecar(const std::string& path,
   // bytes already in hand, never fatal — including every failure mode of
   // the lock protocol itself.
   auto parsed = ParseEdgeListImpl(bytes, path, options);
-  if (!parsed.ok()) return parsed;
+  if (!parsed.ok()) return parsed.status();
   // The cache WRITE is strictly best-effort: a full disk (ENOSPC) or
   // injected I/O fault must degrade to a warning + the in-memory parse,
   // never fail a load that already succeeded. The next load retries.
-  const Status cached_write = WriteBinaryGraph(parsed.value(), cache, current);
-  if (!cached_write.ok()) {
+  const Status written = WriteBinaryGraph(parsed.value(), cache, current);
+  if (!written.ok()) {
     std::fprintf(stderr, "# warning: sidecar cache write failed (%s); "
                  "serving the in-memory parse\n",
-                 cached_write.ToString().c_str());
+                 written.ToString().c_str());
   }
-  return parsed;
+  // The backing is picked here, once: the mmap route serves the sidecar
+  // just written; the in-RAM route, or a sidecar that could not be
+  // written or re-opened, serves the parse in hand.
+  if (mmap && written.ok()) {
+    if (auto served = ServeSidecar(cache, current, mmap)) {
+      return std::move(*served);
+    }
+  }
+  return GraphHandle(std::move(parsed.value()));
 }
 
 }  // namespace
 
-Result<Graph> ReadEdgeListCached(const std::string& path, bool* cache_hit,
-                                 const EdgeListParseOptions& options) {
+Result<GraphHandle> OpenEdgeListSidecar(const std::string& path, bool mmap,
+                                        bool* cache_hit,
+                                        const EdgeListParseOptions& options) {
   if (cache_hit != nullptr) *cache_hit = false;
 
   // Freshness is content-addressed, not timestamp-based: the current
-  // source bytes are read and checksummed on every load, and the sidecar
+  // source bytes are read and checksummed on every open, and the sidecar
   // serves only if its recorded (size, checksum) stamp matches. This
   // closes the staleness holes timestamps cannot see — a same-size
   // rewrite within mtime granularity of the cache write, or a same-size
@@ -735,24 +738,28 @@ Result<Graph> ReadEdgeListCached(const std::string& path, bool* cache_hit,
                                              bytes.value().size())};
 
   // With the StatCache enabled (sweep drivers), an in-memory memo keyed
-  // by the same content stamp sits above the sidecar: the concurrent
-  // runs of a cold sweep wait on one parse instead of each duplicating
-  // it, and warm runs skip even the binary load. Keying by content — not
-  // path — keeps the freshness semantics identical to the sidecar's: a
-  // rewritten source is a new key, never a stale serve.
+  // by the same content stamp and the backing sits above the sidecar:
+  // the concurrent runs of a cold sweep wait on one rebuild instead of
+  // each duplicating it, and warm runs share the memoized handle's
+  // backing. Keying by content — not path — keeps the freshness
+  // semantics identical to the sidecar's: a rewritten source is a new
+  // key, never a stale serve.
   StatCache& memo = StatCache::Instance();
   if (memo.enabled()) {
     struct MemoEntry {
-      Result<Graph> result;
+      Result<GraphHandle> result;
       bool sidecar_hit;
     };
     bool computed = false;
-    const uint64_t key =
-        CacheKey().Mix(current.size).Mix(current.checksum).digest();
+    const uint64_t key = CacheKey()
+                             .Mix(current.size)
+                             .Mix(current.checksum)
+                             .Mix(uint64_t{mmap})
+                             .digest();
     const auto entry = memo.GetOrCompute<MemoEntry>("graph_load", key, [&] {
       computed = true;
       MemoEntry e{Status::Internal("unreachable"), false};
-      e.result = LoadViaSidecar(path, bytes.value(), current, options,
+      e.result = OpenViaSidecar(path, bytes.value(), current, mmap, options,
                                 &e.sidecar_hit);
       return e;
     });
@@ -764,46 +771,9 @@ Result<Graph> ReadEdgeListCached(const std::string& path, bool* cache_hit,
 
   bool sidecar_hit = false;
   auto result =
-      LoadViaSidecar(path, bytes.value(), current, options, &sidecar_hit);
+      OpenViaSidecar(path, bytes.value(), current, mmap, options, &sidecar_hit);
   if (cache_hit != nullptr) *cache_hit = sidecar_hit;
   return result;
-}
-
-Result<GraphHandle> ReadEdgeListMapped(const std::string& path,
-                                       const EdgeListParseOptions& options) {
-  auto bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  const DpkbSourceStamp current{bytes.value().size(),
-                                Fnv1a64Words(bytes.value().data(),
-                                             bytes.value().size())};
-  const std::string cache = BinaryCachePath(path);
-
-  // A servable sidecar must map in place (v3), carry the current
-  // source's stamp, and open clean. A fresh v2 sidecar fails the
-  // mapped() test; the loader below then serves it as a copying hit —
-  // correct, just not out-of-core — until the source changes and the
-  // rewrite migrates it to v3.
-  auto try_map = [&]() -> std::shared_ptr<MmapGraph> {
-    auto mapped = MmapGraph::Open(cache);
-    if (mapped.ok() && mapped.value()->mapped() &&
-        mapped.value()->source_stamp().size == current.size &&
-        mapped.value()->source_stamp().checksum == current.checksum) {
-      return std::move(mapped.value());
-    }
-    return nullptr;
-  };
-  if (auto mapped = try_map()) return GraphHandle(std::move(mapped));
-
-  // Miss: rebuild through the sidecar loader (it owns the cross-process
-  // lock protocol and the durable write), then retry the map once. If
-  // the rewrite could not land — read-only dataset directory, full disk
-  // — the parse in hand serves in-RAM.
-  bool sidecar_hit = false;
-  auto parsed =
-      LoadViaSidecar(path, bytes.value(), current, options, &sidecar_hit);
-  if (!parsed.ok()) return parsed.status();
-  if (auto mapped = try_map()) return GraphHandle(std::move(mapped));
-  return GraphHandle(std::move(parsed.value()));
 }
 
 }  // namespace dpkron

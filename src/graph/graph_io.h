@@ -19,12 +19,12 @@
 // to ParseEdgeListSerial at any thread count.
 //
 // Binary format (.dpkb, little-endian), the sidecar cache behind
-// ReadEdgeListCached and the out-of-core substrate behind MmapGraph.
-// Current version 3 ("aligned sections"):
+// OpenEdgeListSidecar and the out-of-core substrate behind MmapGraph.
+// Version 3 ("aligned sections") is the only version:
 //
 //   bytes  field
 //   0..7   magic "DPKBCSR1"
-//   8..11  version (uint32, currently 3)
+//   8..11  version (uint32, 3)
 //   12..15 reserved (uint32, 0)
 //   16..23 num_nodes (uint64)
 //   24..31 adjacency length (uint64, = 2·edges)
@@ -33,7 +33,7 @@
 //   40..47 source text size in bytes (uint64; 0 = standalone file)
 //   48..55 FNV-1a 64 checksum of the source text (uint64; 0 =
 //          standalone file). Sidecar caches record the (size, checksum)
-//          stamp of the text they were parsed from, and cached loads
+//          stamp of the text they were parsed from, and sidecar opens
 //          revalidate it against the current source bytes, so no
 //          rewrite — same-size within mtime granularity,
 //          mtime-preserving replacement — can serve a stale graph.
@@ -45,12 +45,13 @@
 // Both sections start on 64-byte boundaries, so an mmap of the file
 // (page-aligned by definition) yields cache-line-aligned CSR arrays the
 // SIMD kernels can consume in place — the property that makes MmapGraph
-// a zero-copy load. Version 2 was the same header (56 bytes, version
-// field 2) with the two arrays packed immediately after it; readers
-// accept both, writers emit 3. Version-1 files fail the version check;
-// the sidecar-cache path treats any unreadable version exactly like a
-// stale cache (silent reparse + rewrite), so a repo upgraded across a
-// version bump never misloads an old cache.
+// a zero-copy load. Every other version fails the version check with
+// InvalidArgument: version 1 (no source checksum) and version 2 (the
+// same header with the arrays packed right after it) are retired. The
+// sidecar route treats an unreadable version exactly like a stale
+// cache (silent reparse + v3 rewrite), so a repo upgraded across a
+// version bump never misloads an old cache; a standalone v1/v2 file has
+// no source to rebuild from and fails to open.
 //
 // ReadBinaryGraph verifies magic/version/sizes/checksum and the CSR
 // invariants (monotone offsets, strictly sorted in-range lists, no
@@ -78,7 +79,7 @@ struct EdgeListParseOptions {
   // edge order — depends only on this and the input, not on threads.
   size_t chunk_bytes = 1 << 20;
 
-  // Cross-PROCESS sidecar-rebuild coordination (ReadEdgeListCached):
+  // Cross-PROCESS sidecar-rebuild coordination (OpenEdgeListSidecar):
   // a cache miss takes "<path>.dpkb.lock" (O_EXCL) before parsing, so
   // N daemons cold-starting on one dataset do one parse, not N. A
   // loser polls every lock_poll_ms, re-checking the sidecar each wake
@@ -123,8 +124,8 @@ struct DpkbSourceStamp {
 Status WriteBinaryGraph(GraphView graph, const std::string& path,
                         const DpkbSourceStamp& source = {});
 
-// Loads a .dpkb file (version 2 or 3), validating header, checksum and
-// CSR invariants. `source`, when non-null, receives the header's
+// Loads a .dpkb v3 file into RAM, validating header, checksum and CSR
+// invariants. `source`, when non-null, receives the header's
 // recorded source stamp.
 Result<Graph> ReadBinaryGraph(const std::string& path,
                               DpkbSourceStamp* source = nullptr);
@@ -145,9 +146,7 @@ Result<Graph> ReadBinaryGraph(const std::string& path,
 // checksum recorded at write time, which is what keeps the load
 // O(header). Use verify_payload for .dpkb files of untrusted origin.
 //
-// A version-2 file (packed layout, unmappable in place) degrades to a
-// copying load via ReadBinaryGraph — mapped() reports which route
-// served the graph. Fingerprint: the header checksum, which equals
+// Fingerprint: the header checksum, which equals
 // Graph::ContentFingerprint of the same CSR by the format contract, so
 // StatCache entries are shared bit-identically with in-RAM backings.
 //
@@ -182,10 +181,6 @@ class MmapGraph {
   uint64_t NumEdges() const { return view().NumEdges(); }
   uint64_t ContentFingerprint() const { return view().ContentFingerprint(); }
 
-  // True when the CSR is served from the mapping; false when a v2 file
-  // forced the copying fallback.
-  bool mapped() const { return map_ != nullptr; }
-
   // The header's recorded source-text stamp ({0,0} for standalone
   // files) — what lets a sidecar consumer revalidate freshness without
   // touching the payload.
@@ -194,11 +189,10 @@ class MmapGraph {
  private:
   MmapGraph() = default;
 
-  void* map_ = nullptr;  // null = v2 copying fallback (fallback_ holds it)
+  void* map_ = nullptr;
   size_t map_len_ = 0;
   std::span<const uint32_t> offsets_;
   std::span<const Graph::NodeId> adjacency_;
-  Graph fallback_;
   DpkbSourceStamp stamp_;
   // Seeded with the header checksum on open, so views never recompute.
   mutable std::atomic<uint64_t> fingerprint_{0};
@@ -226,9 +220,8 @@ class GraphHandle {
   uint32_t NumNodes() const { return view().NumNodes(); }
   uint64_t NumEdges() const { return view().NumEdges(); }
 
-  // True when the payload is served from a live mapping (a v2 fallback
-  // inside MmapGraph reports false — it materialized).
-  bool mmap_backed() const { return mapped_ != nullptr && mapped_->mapped(); }
+  // True when the payload is served from a live mapping.
+  bool mmap_backed() const { return mapped_ != nullptr; }
 
  private:
   std::shared_ptr<const Graph> ram_;
@@ -238,29 +231,28 @@ class GraphHandle {
 // The sidecar cache path for an edge-list file: "<path>.dpkb".
 std::string BinaryCachePath(const std::string& path);
 
-// Parse-once cache: reads and checksums the source text, then loads
+// The parse-once sidecar route for an edge-list file, serving either
+// backing: in RAM (`mmap` false) or as a view over the mmap'd sidecar
+// (`mmap` true). Reads and checksums the source text, then serves
 // "<path>.dpkb" if its recorded source stamp matches the current
-// content; otherwise parses the bytes already in hand and (best-effort)
-// writes the sidecar for next time. Freshness is content-addressed —
-// timestamps play no part — so no rewrite of the source can be served
-// stale. `cache_hit`, when non-null, reports which route served the
-// graph.
-Result<Graph> ReadEdgeListCached(const std::string& path,
-                                 bool* cache_hit = nullptr,
-                                 const EdgeListParseOptions& options = {});
-
-// The out-of-core analogue of ReadEdgeListCached: serves the edge list
-// through its sidecar as an mmap-backed handle. Stamp-checks
-// "<path>.dpkb" against the current source bytes and maps it on a hit;
-// on a miss (absent, stale, corrupt, or old-version sidecar) parses the
-// text, rewrites the sidecar as v3 — under the same cross-process lock
-// protocol as the cached loader — and retries the map once. If the
-// sidecar cannot be (re)written (read-only dataset dir, ENOSPC), the
-// freshly parsed in-RAM graph serves instead: mmap is an execution
+// content; on a miss (absent, stale, corrupt or old-version sidecar) it
+// parses the bytes already in hand under the cross-process rebuild lock
+// and (best-effort) rewrites the sidecar as v3. The rebuilt graph is
+// then served from the fresh sidecar's mapping when `mmap` asks for it,
+// else — and whenever the sidecar could not be rewritten (read-only
+// dataset dir, ENOSPC) — from the parse in hand: mmap is an execution
 // strategy, never a correctness requirement, and both backings hash to
-// the same fingerprint.
-Result<GraphHandle> ReadEdgeListMapped(
-    const std::string& path, const EdgeListParseOptions& options = {});
+// the same fingerprint. Freshness is content-addressed — timestamps
+// play no part — so no rewrite of the source can be served stale.
+//
+// With the StatCache enabled, an in-process "graph_load" memo keyed by
+// the content stamp and the backing sits above the sidecar: concurrent
+// opens of one source wait on one rebuild, and later opens share the
+// memoized handle's backing instead of copying it. `cache_hit`, when
+// non-null, reports whether the sidecar (or the memo) served the graph.
+Result<GraphHandle> OpenEdgeListSidecar(
+    const std::string& path, bool mmap = false, bool* cache_hit = nullptr,
+    const EdgeListParseOptions& options = {});
 
 }  // namespace dpkron
 

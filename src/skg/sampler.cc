@@ -38,7 +38,7 @@ QuadrantLaw MakeQuadrantLaw(const Initiator2& theta) {
   return law;
 }
 
-// Both fast generators draw the total edge count from the normal
+// The edge-skip generator draws the total edge count from the normal
 // approximation of the Poisson-binomial edge-count law: variance
 // Σ p(1−p) ≈ mean for the sparse graphs the model targets.
 uint64_t DrawTargetEdges(const Initiator2& theta, uint32_t k, Rng& rng) {
@@ -88,46 +88,9 @@ inline void DescendSingleBall(uint32_t u, uint32_t v, uint32_t level,
   if (u != v) keys->push_back(PackEdgeKey(u, v));
 }
 
-Graph SampleBallDrop(const Initiator2& theta, uint32_t k, Rng& rng,
-                     const SkgSampleOptions& options) {
-  DPKRON_CHECK_LT(k, 32u);
-  const uint32_t n = uint32_t{1} << k;
-  const double sum = theta.EntrySum();
-  const uint64_t target = sum <= 0.0 ? 0 : DrawTargetEdges(theta, k, rng);
-  if (target == 0) return GraphBuilder(n).Build();
-  const QuadrantLaw law = MakeQuadrantLaw(theta);
-
-  // Distinct placements accumulate as packed keys deduped by sort+unique
-  // per round — no hash set, no per-edge allocation. The pre-reserve is
-  // clamped: a Gaussian-perturbed target in a dense corner can be
-  // enormous, and reserving `2 × target` up front used to request
-  // gigabytes before a single ball dropped.
-  constexpr uint64_t kMaxReserve = uint64_t{1} << 22;  // 32 MiB of keys
-  std::vector<uint64_t> keys;
-  keys.reserve(static_cast<size_t>(std::min(target + target / 16 + 64,
-                                            kMaxReserve)));
-  const uint64_t max_attempts = static_cast<uint64_t>(
-      options.attempt_factor * static_cast<double>(target)) + 64;
-  uint64_t attempts = 0;
-  uint64_t distinct = 0;
-  while (distinct < target && attempts < max_attempts) {
-    // One candidate per missing edge, then dedup; the duplicate fraction
-    // shrinks geometrically across rounds on sparse graphs.
-    const uint64_t batch =
-        std::min(target - distinct, max_attempts - attempts);
-    for (uint64_t i = 0; i < batch; ++i, ++attempts) {
-      DescendSingleBall(0, 0, 0, k, law, rng, &keys);
-    }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    distinct = keys.size();
-  }
-  return GraphBuilder::FromPackedEdges(n, std::move(keys));
-}
-
 // ------------------------- edge-skipping sampler -------------------------
 //
-// Instead of dropping balls one at a time, the target count is split
+// Instead of dropping balls one at a time (krongen), the target count is split
 // multinomially across the four Kronecker quadrants, level by level:
 // a region of the pair space that receives zero balls — in particular
 // every region under a zero-probability initiator entry — is skipped
@@ -259,8 +222,6 @@ Graph SampleSkg(const Initiator2& theta, uint32_t k, Rng& rng,
   switch (options.method) {
     case SkgSampleMethod::kExact:
       return SampleExact2(theta, k, rng);
-    case SkgSampleMethod::kBallDrop:
-      return SampleBallDrop(theta, k, rng, options);
     case SkgSampleMethod::kClassSkip:
       return SampleSkgClassSkip(theta, k, rng);
     case SkgSampleMethod::kEdgeSkip:

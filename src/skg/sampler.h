@@ -4,27 +4,23 @@
 // transformation and the Gleich–Owen moment formulas): every unordered
 // pair {u, v}, u ≠ v, receives one Bernoulli coin with bias P_uv.
 //
-// Four samplers:
+// Three samplers:
 //   * Exact: flips all N(N−1)/2 coins. O(4^k) time, exact distribution.
 //     Practical through k = 14 (~1.3·10^8 coin flips).
-//   * BallDrop: the standard fast Kronecker generator (krongen-style
-//     recursive quadrant descent). Samples a target edge count from the
-//     normal approximation of the Poisson-binomial edge-count law, then
-//     places that many distinct edges with probability ∝ P_uv. O(E·k)
-//     expected time; the per-pair law is approximate but the aggregate
-//     statistics match the exact sampler closely (tested).
 //   * ClassSkip: probability-class grass-hopping (class_sampler.h):
 //     exact distribution in O(E) expected time, single-threaded.
-//   * EdgeSkip: same target-count law as BallDrop, but the balls are
-//     split multinomially across Kronecker quadrants level by level,
-//     skipping every zero-count / zero-probability region outright and
-//     drawing the splits with geometric-skipping binomials
-//     (Rng::NextBinomial). Regions are independent once split, so the
-//     descent runs on the thread pool with per-region RNG streams and
-//     per-region edge batches merged into one CSR. O(E·k) time; the
-//     sampler of choice for large k (a k = 20, ~10^6-node, ~10^7-edge
-//     realization takes seconds). Output is deterministic for a given
-//     seed regardless of thread count.
+//   * EdgeSkip: the fast Kronecker generator. Draws a target edge count
+//     from the normal approximation of the Poisson-binomial edge-count
+//     law, then splits that many krongen-style balls multinomially
+//     across Kronecker quadrants level by level, skipping every
+//     zero-count / zero-probability region outright and drawing the
+//     splits with geometric-skipping binomials (Rng::NextBinomial).
+//     Regions are independent once split, so the descent runs on the
+//     thread pool with per-region RNG streams and per-region edge
+//     batches merged into one CSR. O(E·k) time; the sampler of choice
+//     for large k (a k = 20, ~10^6-node, ~10^7-edge realization takes
+//     seconds). Output is deterministic for a given seed regardless of
+//     thread count.
 
 #ifndef DPKRON_SKG_SAMPLER_H_
 #define DPKRON_SKG_SAMPLER_H_
@@ -37,26 +33,24 @@
 
 namespace dpkron {
 
+// The values are explicit and never reused: ReleasePipeline mixes the
+// method into its StatCache and disk-cache keys, so renumbering would
+// orphan persisted entries. (1 was the retired ball-drop sampler.)
 enum class SkgSampleMethod {
   // All-pairs Bernoulli sweep: exact distribution, O(4^k).
-  kExact,
-  // krongen-style recursive quadrant descent: fast, approximate.
-  kBallDrop,
+  kExact = 0,
   // Probability-class skipping (class_sampler.h): exact distribution in
   // O(E) expected time — the best default for k > 12.
-  kClassSkip,
+  kClassSkip = 2,
   // Multinomial quadrant splitting with geometric edge skipping:
-  // BallDrop's distribution at O(E·k) cost, parallel across regions —
-  // the generator for k ≥ 16 / million-node realizations.
-  kEdgeSkip,
+  // approximate (normal-approximated edge count, krongen placement) at
+  // O(E·k) cost, parallel across regions — the generator for k ≥ 16 /
+  // million-node realizations.
+  kEdgeSkip = 3,
 };
 
 struct SkgSampleOptions {
   SkgSampleMethod method = SkgSampleMethod::kExact;
-  // BallDrop: give up on duplicate-avoidance after
-  // attempt_factor × target placements (dense corners can make distinct
-  // placements scarce).
-  double attempt_factor = 30.0;
 };
 
 // One realization of the SKG defined by Θ^[k] on 2^k nodes.

@@ -31,7 +31,7 @@ class ScopedThreads {
   int saved_;
 };
 
-bool SameCsr(const Graph& a, const Graph& b) {
+bool SameCsr(GraphView a, GraphView b) {
   return std::vector<uint32_t>(a.Offsets().begin(), a.Offsets().end()) ==
              std::vector<uint32_t>(b.Offsets().begin(), b.Offsets().end()) &&
          std::vector<uint32_t>(a.Adjacency().begin(), a.Adjacency().end()) ==
@@ -41,6 +41,12 @@ bool SameCsr(const Graph& a, const Graph& b) {
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
+
+// The two backings of the sidecar opener: every sidecar test runs on
+// each (false = in-RAM, true = mmap'd sidecar).
+constexpr bool kBackings[] = {false, true};
+
+const char* BackingName(bool mmap) { return mmap ? "mmap" : "ram"; }
 
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary);
@@ -313,13 +319,18 @@ TEST(BinaryGraphTest, RejectsBadMagicVersionTruncationAndCorruption) {
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("magic"), std::string::npos);
 
-  // Unsupported version.
+  // Unsupported versions: an unknown one, and the retired packed v2
+  // layout (a faithful v2 image of the same graph).
   bad = good;
   bad[8] = 99;
-  WriteFile(path, bad);
-  result = ReadBinaryGraph(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("version"), std::string::npos);
+  for (const std::string& image :
+       {bad, testing::DpkbV2FromV3(good, testing::PetersenGraph())}) {
+    WriteFile(path, image);
+    result = ReadBinaryGraph(path);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("version"), std::string::npos);
+  }
 
   // Truncated payload.
   WriteFile(path, good.substr(0, good.size() - 5));
@@ -341,76 +352,90 @@ TEST(BinaryGraphTest, RejectsBadMagicVersionTruncationAndCorruption) {
 // ----------------------------- sidecar cache -----------------------------
 
 TEST(EdgeListCacheTest, ParseOnceThenHit) {
-  const std::string path = TempPath("cached.edges");
-  WriteFile(path, "# g\n0 1\n1 2\n2 0\n");
-  const std::string cache = BinaryCachePath(path);
-  std::remove(cache.c_str());
+  for (const bool mmap : kBackings) {
+    SCOPED_TRACE(BackingName(mmap));
+    const std::string path = TempPath("cached.edges");
+    WriteFile(path, "# g\n0 1\n1 2\n2 0\n");
+    const std::string cache = BinaryCachePath(path);
+    std::remove(cache.c_str());
 
-  bool hit = true;
-  const auto first = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(hit);  // first load parses the text
-  EXPECT_TRUE(std::filesystem::exists(cache));
+    bool hit = true;
+    const auto first = OpenEdgeListSidecar(path, mmap, &hit);
+    ASSERT_TRUE(first.ok());
+    EXPECT_FALSE(hit);  // first open parses the text
+    EXPECT_EQ(first.value().mmap_backed(), mmap);
+    EXPECT_TRUE(std::filesystem::exists(cache));
 
-  const auto second = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(hit);  // second load served from the sidecar
-  EXPECT_TRUE(SameCsr(first.value(), second.value()));
+    const auto second = OpenEdgeListSidecar(path, mmap, &hit);
+    ASSERT_TRUE(second.ok());
+    EXPECT_TRUE(hit);  // second open served from the sidecar
+    EXPECT_EQ(second.value().mmap_backed(), mmap);
+    EXPECT_TRUE(SameCsr(first.value(), second.value()));
+    EXPECT_EQ(second.value().view().ContentFingerprint(),
+              first.value().view().ContentFingerprint());
 
-  std::remove(path.c_str());
-  std::remove(cache.c_str());
+    std::remove(path.c_str());
+    std::remove(cache.c_str());
+  }
 }
 
 TEST(EdgeListCacheTest, StaleCacheIsRebuilt) {
-  const std::string path = TempPath("stale.edges");
-  const std::string cache = BinaryCachePath(path);
-  WriteFile(path, "0 1\n");
-  bool hit = false;
-  ASSERT_TRUE(ReadEdgeListCached(path, &hit).ok());
+  for (const bool mmap : kBackings) {
+    SCOPED_TRACE(BackingName(mmap));
+    const std::string path = TempPath("stale.edges");
+    const std::string cache = BinaryCachePath(path);
+    WriteFile(path, "0 1\n");
+    bool hit = false;
+    ASSERT_TRUE(OpenEdgeListSidecar(path, mmap, &hit).ok());
 
-  // New source content; force the sidecar visibly older than the
-  // source (filesystem timestamps can be too coarse to rely on).
-  WriteFile(path, "0 1\n1 2\n");
-  std::filesystem::last_write_time(
-      cache,
-      std::filesystem::last_write_time(path) - std::chrono::seconds(10));
+    // New source content; force the sidecar visibly older than the
+    // source (filesystem timestamps can be too coarse to rely on).
+    WriteFile(path, "0 1\n1 2\n");
+    std::filesystem::last_write_time(
+        cache,
+        std::filesystem::last_write_time(path) - std::chrono::seconds(10));
 
-  const auto refreshed = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(refreshed.ok());
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(refreshed.value().NumEdges(), 2u);
+    const auto refreshed = OpenEdgeListSidecar(path, mmap, &hit);
+    ASSERT_TRUE(refreshed.ok());
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(refreshed.value().mmap_backed(), mmap);
+    EXPECT_EQ(refreshed.value().NumEdges(), 2u);
 
-  // The rebuild rewrote the sidecar: next load hits it.
-  const auto again = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(again.value().NumEdges(), 2u);
+    // The rebuild rewrote the sidecar: next open hits it.
+    const auto again = OpenEdgeListSidecar(path, mmap, &hit);
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(again.value().NumEdges(), 2u);
 
-  std::remove(path.c_str());
-  std::remove(cache.c_str());
+    std::remove(path.c_str());
+    std::remove(cache.c_str());
+  }
 }
 
 TEST(EdgeListCacheTest, MtimePreservingSourceReplacementDetected) {
   // cp -p / rsync -t style replacement: new content whose timestamp is
   // OLDER than the sidecar. The recorded source size catches it.
-  const std::string path = TempPath("preserved.edges");
-  const std::string cache = BinaryCachePath(path);
-  WriteFile(path, "0 1\n");
-  bool hit = false;
-  ASSERT_TRUE(ReadEdgeListCached(path, &hit).ok());
+  for (const bool mmap : kBackings) {
+    SCOPED_TRACE(BackingName(mmap));
+    const std::string path = TempPath("preserved.edges");
+    const std::string cache = BinaryCachePath(path);
+    WriteFile(path, "0 1\n");
+    bool hit = false;
+    ASSERT_TRUE(OpenEdgeListSidecar(path, mmap, &hit).ok());
 
-  WriteFile(path, "0 1\n1 2\n2 3\n");
-  std::filesystem::last_write_time(
-      path,
-      std::filesystem::last_write_time(cache) - std::chrono::seconds(10));
+    WriteFile(path, "0 1\n1 2\n2 3\n");
+    std::filesystem::last_write_time(
+        path,
+        std::filesystem::last_write_time(cache) - std::chrono::seconds(10));
 
-  const auto replaced = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(replaced.ok());
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(replaced.value().NumEdges(), 3u);
+    const auto replaced = OpenEdgeListSidecar(path, mmap, &hit);
+    ASSERT_TRUE(replaced.ok());
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(replaced.value().NumEdges(), 3u);
 
-  std::remove(path.c_str());
-  std::remove(cache.c_str());
+    std::remove(path.c_str());
+    std::remove(cache.c_str());
+  }
 }
 
 TEST(EdgeListCacheTest, SameSizeSameSecondRewriteDetected) {
@@ -420,86 +445,104 @@ TEST(EdgeListCacheTest, SameSizeSameSecondRewriteDetected) {
   // heuristic passes; only the recorded source checksum can tell the
   // contents apart. The mtimes are pinned equal to make the worst case
   // deterministic rather than racing the clock granularity.
-  const std::string path = TempPath("same_size.edges");
-  const std::string cache = BinaryCachePath(path);
-  WriteFile(path, "0 1\n0 2\n");
-  bool hit = false;
-  ASSERT_TRUE(ReadEdgeListCached(path, &hit).ok());
+  for (const bool mmap : kBackings) {
+    SCOPED_TRACE(BackingName(mmap));
+    const std::string path = TempPath("same_size.edges");
+    const std::string cache = BinaryCachePath(path);
+    WriteFile(path, "0 1\n0 2\n");
+    bool hit = false;
+    ASSERT_TRUE(OpenEdgeListSidecar(path, mmap, &hit).ok());
 
-  WriteFile(path, "0 1\n0 3\n");  // same size, different content
-  std::filesystem::last_write_time(path,
-                                   std::filesystem::last_write_time(cache));
+    WriteFile(path, "0 1\n1 2\n");  // same size, different graph
+    std::filesystem::last_write_time(path,
+                                     std::filesystem::last_write_time(cache));
 
-  const auto rewritten = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(rewritten.ok());
-  EXPECT_FALSE(hit);
-  // Nodes 0, 1, 3 — the "3" proves the new content was parsed.
-  EXPECT_EQ(rewritten.value().NumNodes(), 3u);
-  EXPECT_EQ(rewritten.value().NumEdges(), 2u);
-  EXPECT_EQ(rewritten.value().Degree(0), 2u);
+    const auto rewritten = OpenEdgeListSidecar(path, mmap, &hit);
+    ASSERT_TRUE(rewritten.ok());
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(rewritten.value().mmap_backed(), mmap);
+    // A path, not the old star: node 0 now has degree 1, which proves
+    // the new content was parsed.
+    EXPECT_EQ(rewritten.value().NumNodes(), 3u);
+    EXPECT_EQ(rewritten.value().NumEdges(), 2u);
+    EXPECT_EQ(rewritten.value().view().Degree(0), 1u);
 
-  // The rebuilt sidecar serves the new content from now on.
-  const auto again = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(hit);
-  EXPECT_TRUE(SameCsr(again.value(), rewritten.value()));
+    // The rebuilt sidecar serves the new content from now on.
+    const auto again = OpenEdgeListSidecar(path, mmap, &hit);
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(hit);
+    EXPECT_TRUE(SameCsr(again.value(), rewritten.value()));
 
-  std::remove(path.c_str());
-  std::remove(cache.c_str());
+    std::remove(path.c_str());
+    std::remove(cache.c_str());
+  }
+}
+
+// A version-1 sidecar (48-byte header, no source checksum) left over
+// from before the format bump. Parsed from `text`, with the recorded
+// source size but no checksum.
+std::string DpkbV1Image(const std::string& text, const Graph& graph) {
+  std::string image;
+  auto put = [&image](const void* data, size_t size) {
+    image.append(static_cast<const char*>(data), size);
+  };
+  // Magic, version 1, counts, payload checksum (any value — the version
+  // check fires first), recorded source size, then the CSR payload.
+  const char magic[8] = {'D', 'P', 'K', 'B', 'C', 'S', 'R', '1'};
+  const uint32_t version = 1, reserved = 0;
+  const uint64_t num_nodes = graph.NumNodes();
+  const uint64_t adjacency_len = graph.Adjacency().size();
+  const uint64_t checksum = 0, source_size = text.size();
+  put(magic, sizeof(magic));
+  put(&version, sizeof(version));
+  put(&reserved, sizeof(reserved));
+  put(&num_nodes, sizeof(num_nodes));
+  put(&adjacency_len, sizeof(adjacency_len));
+  put(&checksum, sizeof(checksum));
+  put(&source_size, sizeof(source_size));
+  put(graph.Offsets().data(), graph.Offsets().size_bytes());
+  put(graph.Adjacency().data(), graph.Adjacency().size_bytes());
+  return image;
 }
 
 TEST(EdgeListCacheTest, OldVersionSidecarReparsedSilently) {
-  // A version-1 sidecar (48-byte header, no source checksum) left over
-  // from before the format bump: the version check must classify it as
-  // stale — silent reparse + v2 rewrite — and never misload it.
+  // Sidecars in a retired layout — v1, and v2 (packed arrays) carrying
+  // the CURRENT source stamp, so only the version can reject it — must
+  // be classified as stale: silent reparse + v3 rewrite, never a misload.
   const std::string path = TempPath("old_version.edges");
   const std::string cache = BinaryCachePath(path);
   const std::string text = "0 1\n1 2\n";
   WriteFile(path, text);
-
-  // Craft a faithful v1 file for the parsed graph: magic, version 1,
-  // counts, payload checksum (any value — the version check fires
-  // first), recorded source size, then the CSR payload.
   const auto graph = ParseEdgeListSerial(text);
   ASSERT_TRUE(graph.ok());
-  {
-    std::ofstream out(cache, std::ios::binary);
-    const char magic[8] = {'D', 'P', 'K', 'B', 'C', 'S', 'R', '1'};
-    const uint32_t version = 1, reserved = 0;
-    const uint64_t num_nodes = graph.value().NumNodes();
-    const uint64_t adjacency_len = graph.value().Adjacency().size();
-    const uint64_t checksum = 0, source_size = text.size();
-    out.write(magic, sizeof(magic));
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    out.write(reinterpret_cast<const char*>(&reserved), sizeof(reserved));
-    out.write(reinterpret_cast<const char*>(&num_nodes), sizeof(num_nodes));
-    out.write(reinterpret_cast<const char*>(&adjacency_len),
-              sizeof(adjacency_len));
-    out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-    out.write(reinterpret_cast<const char*>(&source_size),
-              sizeof(source_size));
-    out.write(reinterpret_cast<const char*>(graph.value().Offsets().data()),
-              static_cast<std::streamsize>(
-                  graph.value().Offsets().size_bytes()));
-    out.write(reinterpret_cast<const char*>(graph.value().Adjacency().data()),
-              static_cast<std::streamsize>(
-                  graph.value().Adjacency().size_bytes()));
+  const DpkbSourceStamp stamp{text.size(),
+                              Fnv1a64Words(text.data(), text.size())};
+  ASSERT_TRUE(WriteBinaryGraph(graph.value(), cache, stamp).ok());
+  const std::string v2 = testing::DpkbV2FromV3(ReadFile(cache), graph.value());
+
+  for (const bool mmap : kBackings) {
+    for (const std::string& image : {DpkbV1Image(text, graph.value()), v2}) {
+      SCOPED_TRACE(std::string(BackingName(mmap)) + ", version " +
+                   std::to_string(static_cast<int>(image[8])));
+      WriteFile(cache, image);
+      const auto direct = ReadBinaryGraph(cache);
+      ASSERT_FALSE(direct.ok());
+      EXPECT_NE(direct.status().message().find("version"), std::string::npos);
+
+      bool hit = true;
+      const auto result = OpenEdgeListSidecar(path, mmap, &hit);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_FALSE(hit);
+      EXPECT_EQ(result.value().mmap_backed(), mmap);
+      EXPECT_TRUE(SameCsr(result.value(), graph.value()));
+
+      // The sidecar was upgraded in place: a v3 load now succeeds and hits.
+      EXPECT_TRUE(ReadBinaryGraph(cache).ok());
+      const auto upgraded = OpenEdgeListSidecar(path, mmap, &hit);
+      ASSERT_TRUE(upgraded.ok());
+      EXPECT_TRUE(hit);
+    }
   }
-  const auto direct = ReadBinaryGraph(cache);
-  ASSERT_FALSE(direct.ok());
-  EXPECT_NE(direct.status().message().find("version"), std::string::npos);
-
-  bool hit = true;
-  const auto result = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(hit);
-  EXPECT_TRUE(SameCsr(result.value(), graph.value()));
-
-  // The sidecar was upgraded in place: a v2 load now succeeds and hits.
-  EXPECT_TRUE(ReadBinaryGraph(cache).ok());
-  const auto upgraded = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(upgraded.ok());
-  EXPECT_TRUE(hit);
 
   std::remove(path.c_str());
   std::remove(cache.c_str());
@@ -517,40 +560,48 @@ TEST(BinaryGraphTest, SourceStampRoundTrips) {
 }
 
 TEST(EdgeListCacheTest, CorruptCacheFallsBackToParse) {
-  const std::string path = TempPath("corrupt_cache.edges");
-  const std::string cache = BinaryCachePath(path);
-  WriteFile(path, "0 1\n1 2\n");
-  WriteFile(cache, "garbage, not a dpkb file");
-  std::filesystem::last_write_time(
-      cache,
-      std::filesystem::last_write_time(path) + std::chrono::seconds(10));
+  for (const bool mmap : kBackings) {
+    SCOPED_TRACE(BackingName(mmap));
+    const std::string path = TempPath("corrupt_cache.edges");
+    const std::string cache = BinaryCachePath(path);
+    WriteFile(path, "0 1\n1 2\n");
+    WriteFile(cache, "garbage, not a dpkb file");
+    std::filesystem::last_write_time(
+        cache,
+        std::filesystem::last_write_time(path) + std::chrono::seconds(10));
 
-  bool hit = true;
-  const auto result = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(result.value().NumEdges(), 2u);
+    bool hit = true;
+    const auto result = OpenEdgeListSidecar(path, mmap, &hit);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(result.value().mmap_backed(), mmap);  // rebuilt, never served
+    EXPECT_EQ(result.value().NumEdges(), 2u);
 
-  std::remove(path.c_str());
-  std::remove(cache.c_str());
+    std::remove(path.c_str());
+    std::remove(cache.c_str());
+  }
 }
 
 TEST(EdgeListCacheTest, MissingSourceFailsEvenWithCache) {
-  const std::string path = TempPath("deleted.edges");
-  WriteFile(path, "0 1\n");
-  bool hit = false;
-  ASSERT_TRUE(ReadEdgeListCached(path, &hit).ok());
-  std::remove(path.c_str());
-  const auto result = ReadEdgeListCached(path, &hit);
-  EXPECT_FALSE(result.ok());
-  std::remove(BinaryCachePath(path).c_str());
+  for (const bool mmap : kBackings) {
+    SCOPED_TRACE(BackingName(mmap));
+    const std::string path = TempPath("deleted.edges");
+    WriteFile(path, "0 1\n");
+    bool hit = false;
+    ASSERT_TRUE(OpenEdgeListSidecar(path, mmap, &hit).ok());
+    std::remove(path.c_str());
+    const auto result = OpenEdgeListSidecar(path, mmap, &hit);
+    EXPECT_FALSE(result.ok());
+    std::remove(BinaryCachePath(path).c_str());
+  }
 }
 
 // ------------------- full ingestion round-trip property -------------------
 
 // Edge list ↔ Graph ↔ binary: serial parse, parallel parse (2 and 8
-// threads), a binary round-trip and a cache reload must all produce
-// bit-identical CSR arrays.
+// threads), a sidecar rebuild and a sidecar reload in each backing must
+// all produce bit-identical CSR arrays — including the messy-format
+// cases the text reader tolerates.
 TEST(IngestionRoundTripTest, AllRoutesProduceIdenticalCsr) {
   const std::string inputs[] = {
       "",                                       // empty
@@ -574,21 +625,27 @@ TEST(IngestionRoundTripTest, AllRoutesProduceIdenticalCsr) {
       EXPECT_TRUE(SameCsr(parallel.value(), reference));
     }
 
-    const std::string path = TempPath("roundtrip_prop.edges");
-    WriteFile(path, text);
-    const std::string cache = BinaryCachePath(path);
-    std::remove(cache.c_str());
-    bool hit = false;
-    const auto parsed = ReadEdgeListCached(path, &hit);
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_FALSE(hit);
-    EXPECT_TRUE(SameCsr(parsed.value(), reference));
-    const auto reloaded = ReadEdgeListCached(path, &hit);
-    ASSERT_TRUE(reloaded.ok());
-    EXPECT_TRUE(hit);
-    EXPECT_TRUE(SameCsr(reloaded.value(), reference));
-    std::remove(path.c_str());
-    std::remove(cache.c_str());
+    for (const bool mmap : kBackings) {
+      SCOPED_TRACE(BackingName(mmap));
+      const std::string path = TempPath("roundtrip_prop.edges");
+      WriteFile(path, text);
+      const std::string cache = BinaryCachePath(path);
+      std::remove(cache.c_str());
+      bool hit = false;
+      const auto parsed = OpenEdgeListSidecar(path, mmap, &hit);
+      ASSERT_TRUE(parsed.ok());
+      EXPECT_FALSE(hit);
+      EXPECT_EQ(parsed.value().mmap_backed(), mmap);
+      EXPECT_TRUE(SameCsr(parsed.value(), reference));
+      const auto reloaded = OpenEdgeListSidecar(path, mmap, &hit);
+      ASSERT_TRUE(reloaded.ok());
+      EXPECT_TRUE(hit);
+      EXPECT_TRUE(SameCsr(reloaded.value(), reference));
+      EXPECT_EQ(reloaded.value().view().ContentFingerprint(),
+                reference.ContentFingerprint());
+      std::remove(path.c_str());
+      std::remove(cache.c_str());
+    }
   }
 }
 
@@ -623,7 +680,7 @@ TEST(IngestionPerfTest, BinaryCacheReloadBeatsTextParse) {
   using Clock = std::chrono::steady_clock;
   auto start = Clock::now();
   bool hit = true;
-  const auto parsed = ReadEdgeListCached(path, &hit);
+  const auto parsed = OpenEdgeListSidecar(path, /*mmap=*/false, &hit);
   const double parse_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   ASSERT_TRUE(parsed.ok());
@@ -635,7 +692,7 @@ TEST(IngestionPerfTest, BinaryCacheReloadBeatsTextParse) {
   double reload_seconds = 1e9;
   for (int i = 0; i < 3; ++i) {
     start = Clock::now();
-    const auto reloaded = ReadEdgeListCached(path, &hit);
+    const auto reloaded = OpenEdgeListSidecar(path, /*mmap=*/false, &hit);
     const double seconds =
         std::chrono::duration<double>(Clock::now() - start).count();
     ASSERT_TRUE(reloaded.ok());
@@ -660,74 +717,82 @@ TEST(IngestionPerfTest, BinaryCacheReloadBeatsTextParse) {
 // ---------------------------------------------- fault-injected I/O
 
 TEST(EdgeListCacheTest, SidecarWriteFailureDegradesToWarningPlusParse) {
-  // ENOSPC while writing the .dpkb sidecar must not fail a load whose
-  // parse already succeeded: warn, serve the in-memory graph, and leave
-  // no half-written cache behind for the next load to trust.
-  const std::string path = TempPath("cache_enospc.edges");
-  WriteFile(path, "# g\n0 1\n1 2\n2 0\n");
-  const std::string cache = BinaryCachePath(path);
-  std::remove(cache.c_str());
+  // ENOSPC while writing the .dpkb sidecar must not fail an open whose
+  // parse already succeeded: warn, serve the in-memory graph (whatever
+  // backing was asked for — there is no sidecar to map), and leave no
+  // half-written cache behind for the next open to trust.
+  for (const bool mmap : kBackings) {
+    SCOPED_TRACE(BackingName(mmap));
+    const std::string path = TempPath("cache_enospc.edges");
+    WriteFile(path, "# g\n0 1\n1 2\n2 0\n");
+    const std::string cache = BinaryCachePath(path);
+    std::remove(cache.c_str());
 
-  FaultInjectionEnv env;
-  ScopedEnvOverride scope(&env);
-  env.FailWrites(/*after=*/1,
-                 Status::ResourceExhausted("No space left on device"));
-  bool hit = true;
-  const auto parsed = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(parsed.value().NumNodes(), 3u);
-  EXPECT_EQ(parsed.value().NumEdges(), 3u);
-  // The failed write cleaned up: no sidecar, no stray temp file.
-  EXPECT_FALSE(std::filesystem::exists(cache));
+    FaultInjectionEnv env;
+    ScopedEnvOverride scope(&env);
+    env.FailWrites(/*after=*/1,
+                   Status::ResourceExhausted("No space left on device"));
+    bool hit = true;
+    const auto parsed = OpenEdgeListSidecar(path, mmap, &hit);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_FALSE(hit);
+    EXPECT_FALSE(parsed.value().mmap_backed());
+    EXPECT_EQ(parsed.value().NumNodes(), 3u);
+    EXPECT_EQ(parsed.value().NumEdges(), 3u);
+    // The failed write cleaned up: no sidecar, no stray temp file.
+    EXPECT_FALSE(std::filesystem::exists(cache));
 
-  // Once space is back the next load parses again AND rebuilds the
-  // sidecar, so the one after that is a cache hit.
-  env.ClearFaults();
-  const auto rebuilt = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_FALSE(hit);
-  EXPECT_TRUE(std::filesystem::exists(cache));
-  const auto served = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(served.ok());
-  EXPECT_TRUE(hit);
-  EXPECT_TRUE(SameCsr(parsed.value(), served.value()));
+    // Once space is back the next open parses again AND rebuilds the
+    // sidecar, so the one after that is a cache hit.
+    env.ClearFaults();
+    const auto rebuilt = OpenEdgeListSidecar(path, mmap, &hit);
+    ASSERT_TRUE(rebuilt.ok());
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(rebuilt.value().mmap_backed(), mmap);
+    EXPECT_TRUE(std::filesystem::exists(cache));
+    const auto served = OpenEdgeListSidecar(path, mmap, &hit);
+    ASSERT_TRUE(served.ok());
+    EXPECT_TRUE(hit);
+    EXPECT_TRUE(SameCsr(parsed.value(), served.value()));
 
-  std::remove(path.c_str());
-  std::remove(cache.c_str());
+    std::remove(path.c_str());
+    std::remove(cache.c_str());
+  }
 }
 
 TEST(EdgeListCacheTest, SidecarSurvivesCrashRightAfterWrite) {
   // WriteBinaryGraph syncs the temp file BEFORE renaming it into place,
-  // so a kill -9 immediately after a cached load leaves a valid sidecar
+  // so a kill -9 immediately after a sidecar open leaves a valid sidecar
   // — never the renamed-but-empty file rename-without-fsync produces.
-  const std::string path = TempPath("cache_crash.edges");
-  {
+  for (const bool mmap : kBackings) {
+    SCOPED_TRACE(BackingName(mmap));
+    const std::string path = TempPath("cache_crash.edges");
     // Written through the REAL env: the source file predates the
     // "process" whose crash we simulate.
     WriteFile(path, "# g\n0 1\n1 2\n2 0\n");
+    const std::string cache = BinaryCachePath(path);
+    std::remove(cache.c_str());
+
+    FaultInjectionEnv env;
+    ScopedEnvOverride scope(&env);
+    bool hit = true;
+    ASSERT_TRUE(OpenEdgeListSidecar(path, mmap, &hit).ok());
+    EXPECT_FALSE(hit);
+    ASSERT_TRUE(std::filesystem::exists(cache));
+
+    env.DropUnsyncedData();  // kill -9 + power cut
+
+    const auto recovered = ReadBinaryGraph(cache);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    const auto cached = OpenEdgeListSidecar(path, mmap, &hit);
+    ASSERT_TRUE(cached.ok());
+    EXPECT_TRUE(hit);  // the surviving sidecar serves the open
+    EXPECT_EQ(cached.value().mmap_backed(), mmap);
+    EXPECT_TRUE(SameCsr(recovered.value(), cached.value()));
+
+    std::remove(path.c_str());
+    std::remove(cache.c_str());
   }
-  const std::string cache = BinaryCachePath(path);
-  std::remove(cache.c_str());
-
-  FaultInjectionEnv env;
-  ScopedEnvOverride scope(&env);
-  bool hit = true;
-  ASSERT_TRUE(ReadEdgeListCached(path, &hit).ok());
-  EXPECT_FALSE(hit);
-  ASSERT_TRUE(std::filesystem::exists(cache));
-
-  env.DropUnsyncedData();  // kill -9 + power cut
-
-  const auto recovered = ReadBinaryGraph(cache);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  const auto cached = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(cached.ok());
-  EXPECT_TRUE(hit);  // the surviving sidecar serves the load
-  EXPECT_TRUE(SameCsr(recovered.value(), cached.value()));
-
-  std::remove(path.c_str());
-  std::remove(cache.c_str());
 }
 
 TEST(GraphIoTest, WriteEdgeListIsAtomicUnderCrash) {
@@ -749,86 +814,99 @@ TEST(GraphIoTest, WriteEdgeListIsAtomicUnderCrash) {
 // ------------------------------------------- sidecar rebuild locking
 
 TEST(SidecarLockTest, RebuildLockIsTakenAndRemovedAroundParse) {
-  const std::string path = TempPath("lock_normal.edges");
-  WriteFile(path, "# lock_normal\n0 1\n1 2\n");
-  const std::string cache = BinaryCachePath(path);
-  const std::string lock = cache + ".lock";
-  std::remove(cache.c_str());
-  std::remove(lock.c_str());
+  for (const bool mmap : kBackings) {
+    SCOPED_TRACE(BackingName(mmap));
+    const std::string path = TempPath("lock_normal.edges");
+    WriteFile(path, "# lock_normal\n0 1\n1 2\n");
+    const std::string cache = BinaryCachePath(path);
+    const std::string lock = cache + ".lock";
+    std::remove(cache.c_str());
+    std::remove(lock.c_str());
 
-  bool hit = true;
-  const auto loaded = ReadEdgeListCached(path, &hit);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(hit);
-  EXPECT_TRUE(std::filesystem::exists(cache));
-  // The advisory lock must not outlive the rebuild it guarded.
-  EXPECT_FALSE(std::filesystem::exists(lock));
+    bool hit = true;
+    const auto loaded = OpenEdgeListSidecar(path, mmap, &hit);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(loaded.value().mmap_backed(), mmap);
+    EXPECT_TRUE(std::filesystem::exists(cache));
+    // The advisory lock must not outlive the rebuild it guarded.
+    EXPECT_FALSE(std::filesystem::exists(lock));
 
-  std::remove(path.c_str());
-  std::remove(cache.c_str());
+    std::remove(path.c_str());
+    std::remove(cache.c_str());
+  }
 }
 
 TEST(SidecarLockTest, WaiterServesSidecarInstalledByLockHolder) {
-  const std::string path = TempPath("lock_wait.edges");
-  const std::string text = "# lock_wait\n0 1\n1 2\n2 3\n";
-  WriteFile(path, text);
-  const std::string cache = BinaryCachePath(path);
-  const std::string lock = cache + ".lock";
-  std::remove(cache.c_str());
+  for (const bool mmap : kBackings) {
+    SCOPED_TRACE(BackingName(mmap));
+    const std::string path = TempPath("lock_wait.edges");
+    const std::string text = "# lock_wait\n0 1\n1 2\n2 3\n";
+    WriteFile(path, text);
+    const std::string cache = BinaryCachePath(path);
+    const std::string lock = cache + ".lock";
+    std::remove(cache.c_str());
 
-  // Another process "holds" the rebuild lock...
-  WriteFile(lock, "");
-  // ...and, while this loader polls, installs the sidecar (atomic
-  // rename) and releases. Install-before-release is the protocol.
-  std::thread winner([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    const auto parsed = ParseEdgeList(text);
-    ASSERT_TRUE(parsed.ok());
-    const DpkbSourceStamp stamp{text.size(),
-                                Fnv1a64Words(text.data(), text.size())};
-    ASSERT_TRUE(WriteBinaryGraph(parsed.value(), cache, stamp).ok());
-    std::remove(lock.c_str());
-  });
+    // Another process "holds" the rebuild lock...
+    WriteFile(lock, "");
+    // ...and, while this opener polls, installs the sidecar (atomic
+    // rename) and releases. Install-before-release is the protocol.
+    std::thread winner([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(60));
+      const auto parsed = ParseEdgeList(text);
+      ASSERT_TRUE(parsed.ok());
+      const DpkbSourceStamp stamp{text.size(),
+                                  Fnv1a64Words(text.data(), text.size())};
+      ASSERT_TRUE(WriteBinaryGraph(parsed.value(), cache, stamp).ok());
+      std::remove(lock.c_str());
+    });
 
-  EdgeListParseOptions options;
-  options.lock_poll_ms = 5;
-  options.lock_stale_ms = 10000;  // far beyond the winner's 60ms
-  bool hit = false;
-  const auto loaded = ReadEdgeListCached(path, &hit, options);
-  winner.join();
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // The waiter was served by the winner's sidecar — one parse total,
-  // which is the point of the lock.
-  EXPECT_TRUE(hit);
-  EXPECT_FALSE(std::filesystem::exists(lock));
+    EdgeListParseOptions options;
+    options.lock_poll_ms = 5;
+    options.lock_stale_ms = 10000;  // far beyond the winner's 60ms
+    bool hit = false;
+    const auto loaded = OpenEdgeListSidecar(path, mmap, &hit, options);
+    winner.join();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    // The waiter was served by the winner's sidecar — one parse total,
+    // which is the point of the lock.
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(loaded.value().mmap_backed(), mmap);
+    EXPECT_EQ(loaded.value().NumEdges(), 3u);
+    EXPECT_FALSE(std::filesystem::exists(lock));
 
-  std::remove(path.c_str());
-  std::remove(cache.c_str());
+    std::remove(path.c_str());
+    std::remove(cache.c_str());
+  }
 }
 
 TEST(SidecarLockTest, OrphanedLockIsBrokenAfterStaleTimeout) {
-  const std::string path = TempPath("lock_stale.edges");
-  WriteFile(path, "# lock_stale\n0 1\n1 2\n");
-  const std::string cache = BinaryCachePath(path);
-  const std::string lock = cache + ".lock";
-  std::remove(cache.c_str());
+  for (const bool mmap : kBackings) {
+    SCOPED_TRACE(BackingName(mmap));
+    const std::string path = TempPath("lock_stale.edges");
+    WriteFile(path, "# lock_stale\n0 1\n1 2\n");
+    const std::string cache = BinaryCachePath(path);
+    const std::string lock = cache + ".lock";
+    std::remove(cache.c_str());
 
-  // A crashed holder left its lock behind; nobody will ever release it.
-  WriteFile(lock, "");
+    // A crashed holder left its lock behind; nobody will ever release it.
+    WriteFile(lock, "");
 
-  EdgeListParseOptions options;
-  options.lock_poll_ms = 2;
-  options.lock_stale_ms = 30;
-  bool hit = true;
-  const auto loaded = ReadEdgeListCached(path, &hit, options);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(hit);  // the takeover parsed the text itself
-  EXPECT_EQ(loaded.value().NumEdges(), 2u);
-  EXPECT_TRUE(std::filesystem::exists(cache));   // and rebuilt the cache
-  EXPECT_FALSE(std::filesystem::exists(lock));   // and cleaned up
+    EdgeListParseOptions options;
+    options.lock_poll_ms = 2;
+    options.lock_stale_ms = 30;
+    bool hit = true;
+    const auto loaded = OpenEdgeListSidecar(path, mmap, &hit, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_FALSE(hit);  // the takeover parsed the text itself
+    EXPECT_EQ(loaded.value().mmap_backed(), mmap);
+    EXPECT_EQ(loaded.value().NumEdges(), 2u);
+    EXPECT_TRUE(std::filesystem::exists(cache));   // and rebuilt the cache
+    EXPECT_FALSE(std::filesystem::exists(lock));   // and cleaned up
 
-  std::remove(path.c_str());
-  std::remove(cache.c_str());
+    std::remove(path.c_str());
+    std::remove(cache.c_str());
+  }
 }
 
 }  // namespace

@@ -69,10 +69,11 @@ TEST(GraphSourceTest, KindNames) {
 
 TEST(GraphSourceTest, GeneratorLoadMatchesMakeDataset) {
   Rng rng_a(42), rng_b(42);
-  const auto loaded = LoadGraphRef("AS20-like", rng_a);
+  const auto loaded = OpenGraph("AS20-like", rng_a);
   ASSERT_TRUE(loaded.ok());
+  EXPECT_FALSE(loaded.value().mmap_backed());
   const Graph direct = MakeDataset("AS20-like", rng_b);
-  EXPECT_EQ(loaded.value().Edges(), direct.Edges());
+  EXPECT_EQ(loaded.value().view().Edges(), direct.Edges());
 }
 
 TEST(GraphSourceTest, EdgeListLoadIgnoresRng) {
@@ -83,7 +84,7 @@ TEST(GraphSourceTest, EdgeListLoadIgnoresRng) {
     Rng probe(7);
     return probe.NextU64();
   }();
-  const auto loaded = LoadGraphRef(path, rng);
+  const auto loaded = OpenGraph(path, rng);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().NumEdges(), 2u);
   EXPECT_EQ(rng.NextU64(), before);  // stream untouched by a file load
@@ -92,12 +93,33 @@ TEST(GraphSourceTest, EdgeListLoadIgnoresRng) {
 
 TEST(GraphSourceTest, BinaryLoad) {
   const std::string path = TempPath("load.dpkb");
-  ASSERT_TRUE(WriteBinaryGraph(testing::PetersenGraph(), path).ok());
-  Rng rng(1);
-  const auto loaded = LoadGraphRef(path, rng);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().NumNodes(), 10u);
-  EXPECT_EQ(loaded.value().NumEdges(), 15u);
+  const Graph g = testing::PetersenGraph();
+  ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+  std::string v3;
+  {
+    std::ifstream in(path, std::ios::binary);
+    v3.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  for (const bool mmap : {false, true}) {
+    SCOPED_TRACE(mmap ? "mmap" : "ram");
+    GraphLoadOptions options;
+    options.mmap = mmap;
+    Rng rng(1);
+    ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+    const auto loaded = OpenGraph(path, rng, options);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_EQ(loaded.value().mmap_backed(), mmap);
+    EXPECT_EQ(loaded.value().NumNodes(), 10u);
+    EXPECT_EQ(loaded.value().NumEdges(), 15u);
+
+    // A standalone file in the retired v2 layout has no source to
+    // rebuild from: it fails cleanly in either backing.
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << testing::DpkbV2FromV3(v3, g);
+    const auto v2 = OpenGraph(path, rng, options);
+    ASSERT_FALSE(v2.ok());
+    EXPECT_EQ(v2.status().code(), StatusCode::kInvalidArgument);
+  }
   std::remove(path.c_str());
 }
 
@@ -110,13 +132,13 @@ TEST(GraphSourceTest, CacheOptionCreatesSidecar) {
   Rng rng(1);
   GraphLoadOptions options;
   options.use_cache = true;
-  const auto first = LoadGraphRef(path, rng, options);
+  const auto first = OpenGraph(path, rng, options);
   ASSERT_TRUE(first.ok());
   std::ifstream sidecar(cache);
   EXPECT_TRUE(sidecar.good());
-  const auto second = LoadGraphRef(path, rng, options);
+  const auto second = OpenGraph(path, rng, options);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first.value().Edges(), second.value().Edges());
+  EXPECT_EQ(first.value().view().Edges(), second.value().view().Edges());
 
   std::remove(path.c_str());
   std::remove(cache.c_str());

@@ -1,9 +1,10 @@
 // MmapGraph — the out-of-core .dpkb backing: zero-copy round trips,
-// the no-SIGBUS validation contract (truncation and corruption degrade
-// to a clean Status before anything is mapped), the v2 copying
-// fallback, concurrent readers on one mapping, GraphHandle ownership
-// semantics, ReadEdgeListMapped's sidecar protocol, and the
-// bit-identical-statistics contract across backings and thread counts.
+// the no-SIGBUS validation contract (truncation, corruption and retired
+// versions degrade to a clean Status before anything is mapped),
+// concurrent readers on one mapping, GraphHandle ownership semantics,
+// and the bit-identical-statistics contract across backings and thread
+// counts. The sidecar route's mmap backing is covered with the in-RAM
+// one in graph_io_test.cc.
 
 #include <cstdint>
 #include <cstring>
@@ -86,7 +87,6 @@ TEST(MmapGraphTest, MapsAV3FileZeroCopy) {
 
   auto mapped = MmapGraph::Open(file.path());
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped.value()->mapped());
   ExpectViewEquals(mapped.value()->view(), g);
   // The v3 sections are 64-byte aligned — the property that lets SIMD
   // kernels consume the mapping in place.
@@ -104,7 +104,6 @@ TEST(MmapGraphTest, EmptyGraphRoundTrips) {
   ASSERT_TRUE(WriteBinaryGraph(Graph(), file.path()).ok());
   auto mapped = MmapGraph::Open(file.path());
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped.value()->mapped());
   EXPECT_EQ(mapped.value()->NumNodes(), 0u);
   EXPECT_EQ(mapped.value()->NumEdges(), 0u);
 }
@@ -148,10 +147,17 @@ TEST(MmapGraphTest, BadMagicAndVersionFail) {
   WriteAll(file.path(), bad);
   EXPECT_FALSE(MmapGraph::Open(file.path()).ok());
 
+  // Only version 3 is readable: an unknown version and a faithful image
+  // of the retired packed v2 layout both fail cleanly.
   bad = good;
-  bad[8] = 99;  // versions other than 2 and 3 are unreadable
-  WriteAll(file.path(), bad);
-  EXPECT_FALSE(MmapGraph::Open(file.path()).ok());
+  bad[8] = 99;
+  for (const std::string& image : {bad, testing::DpkbV2FromV3(good, g)}) {
+    WriteAll(file.path(), image);
+    const auto mapped = MmapGraph::Open(file.path());
+    ASSERT_FALSE(mapped.ok());
+    EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(mapped.status().message().find("version"), std::string::npos);
+  }
 }
 
 // Interior payload corruption is invisible to the default O(header)
@@ -179,41 +185,6 @@ TEST(MmapGraphTest, VerifyPayloadCatchesCorruption) {
   auto mapped = MmapGraph::Open(file.path(), both);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   ExpectViewEquals(mapped.value()->view(), g);
-}
-
-// Hand-craft a version-2 file (packed layout: arrays immediately after
-// the 56-byte header) and check both readers accept it: ReadBinaryGraph
-// directly, MmapGraph via the copying fallback (mapped() == false —
-// unaligned sections can't be consumed in place).
-TEST(MmapGraphTest, Version2FileFallsBackToCopyingLoad) {
-  const Graph g = PetersenGraph();
-  TempFile file("mmap_v2.dpkb");
-  // Borrow the v3 header (same 56 bytes) and repack the sections.
-  ASSERT_TRUE(WriteBinaryGraph(g, file.path()).ok());
-  const std::string v3 = ReadAll(file.path());
-  std::string v2 = v3.substr(0, 56);
-  v2[8] = 2;  // version
-  const size_t offsets_bytes = sizeof(uint32_t) * (g.NumNodes() + 1);
-  v2.append(v3.substr(64, offsets_bytes));  // offsets, packed at 56
-  v2.append(v3.substr(v3.size() - sizeof(uint32_t) * g.Adjacency().size()));
-  WriteAll(file.path(), v2);
-
-  auto copied = ReadBinaryGraph(file.path());
-  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
-  EXPECT_EQ(copied.value().Edges(), g.Edges());
-
-  auto mapped = MmapGraph::Open(file.path());
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_FALSE(mapped.value()->mapped());  // served via the fallback
-  ExpectViewEquals(mapped.value()->view(), g);
-
-  // The current writer re-emits v3; the upgrade round-trips the graph.
-  TempFile rewritten("mmap_v2_upgraded.dpkb");
-  ASSERT_TRUE(WriteBinaryGraph(mapped.value()->view(), rewritten.path()).ok());
-  auto upgraded = MmapGraph::Open(rewritten.path());
-  ASSERT_TRUE(upgraded.ok());
-  EXPECT_TRUE(upgraded.value()->mapped());
-  ExpectViewEquals(upgraded.value()->view(), g);
 }
 
 TEST(MmapGraphTest, ConcurrentReadersShareOneMapping) {
@@ -268,62 +239,6 @@ TEST(GraphHandleTest, CarriesEitherBackingBehindOneType) {
   EXPECT_EQ(copy.view().ContentFingerprint(), g.ContentFingerprint());
 }
 
-// ReadEdgeListMapped: miss parses + writes the v3 sidecar and serves
-// the mapping; hit maps in O(header); a source rewrite invalidates the
-// stamp (content-addressed, so a same-size rewrite still misses); a
-// corrupt sidecar silently rebuilds.
-TEST(ReadEdgeListMappedTest, SidecarMissHitStaleAndCorrupt) {
-  TempFile file("mapped_source.edges");
-  WriteAll(file.path(), "0 1\n1 2\n2 3\n3 0\n");
-
-  auto first = ReadEdgeListMapped(file.path());
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_TRUE(first.value().mmap_backed());
-  EXPECT_EQ(first.value().NumNodes(), 4u);
-  EXPECT_EQ(first.value().NumEdges(), 4u);
-  ASSERT_TRUE(std::filesystem::exists(file.path() + ".dpkb"));
-
-  // Hit: same bytes, same graph, still mapped.
-  auto hit = ReadEdgeListMapped(file.path());
-  ASSERT_TRUE(hit.ok());
-  EXPECT_TRUE(hit.value().mmap_backed());
-  EXPECT_EQ(hit.value().view().ContentFingerprint(),
-            first.value().view().ContentFingerprint());
-
-  // Same-size rewrite: the stamp is a content checksum, not an mtime,
-  // so the stale sidecar is rebuilt and the new edge appears.
-  WriteAll(file.path(), "0 1\n1 2\n2 3\n3 1\n");
-  auto stale = ReadEdgeListMapped(file.path());
-  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
-  EXPECT_TRUE(stale.value().mmap_backed());
-  EXPECT_EQ(stale.value().NumEdges(), 4u);
-  EXPECT_NE(stale.value().view().ContentFingerprint(),
-            first.value().view().ContentFingerprint());
-  GraphView stale_view = stale.value();
-  EXPECT_TRUE(stale_view.HasEdge(3, 1));
-
-  // Corrupt sidecar: rebuilt, never served.
-  WriteAll(file.path() + ".dpkb", "not a dpkb file");
-  auto rebuilt = ReadEdgeListMapped(file.path());
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-  EXPECT_EQ(rebuilt.value().view().ContentFingerprint(),
-            stale.value().view().ContentFingerprint());
-}
-
-// The sidecar records the parse source; the mapped handle must agree
-// bit-for-bit with the direct parser (the cache contract), including
-// the messy-format cases the text reader tolerates.
-TEST(ReadEdgeListMappedTest, AgreesWithDirectParse) {
-  TempFile file("mapped_agrees.edges");
-  WriteAll(file.path(),
-           "# comment\r\n10 20\n20\t30\n\n30  40\r\n40 10\n10 30\n");
-  auto direct = ReadEdgeList(file.path());
-  ASSERT_TRUE(direct.ok());
-  auto mapped = ReadEdgeListMapped(file.path());
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ExpectViewEquals(mapped.value(), direct.value());
-}
-
 // The acceptance bar for the whole out-of-core seam: a fixed-seed
 // release computes BYTE-identical statistics whether the graph lives in
 // RAM arenas or an mmap'd .dpkb, at 1, 2 and 8 threads.
@@ -334,7 +249,6 @@ TEST(MmapGraphTest, StatisticsBitIdenticalAcrossBackingsAndThreads) {
   ASSERT_TRUE(WriteBinaryGraph(g, file.path()).ok());
   auto mapped = MmapGraph::Open(file.path());
   ASSERT_TRUE(mapped.ok());
-  ASSERT_TRUE(mapped.value()->mapped());
 
   StatisticsOptions options;
   options.anf_trials = 8;

@@ -276,7 +276,7 @@ TEST(KernelInvarianceTest, ExpectedStatistics) {
   options.anf_trials = 8;
   ExpectThreadCountInvariant([&] {
     Rng rng(20120330);
-    return ExpectedStatistics({0.9, 0.5, 0.2}, 8, 6, rng, options);
+    return ReleasePipeline(options).Expected({0.9, 0.5, 0.2}, 8, 6, rng);
   });
 }
 

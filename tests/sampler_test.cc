@@ -94,56 +94,6 @@ TEST(SamplerTest, PerPairFrequencyMatchesProbability) {
   EXPECT_NEAR(hits / double(runs), prob(u, v), 0.03);
 }
 
-TEST(BallDropTest, EdgeCountTracksExpectation) {
-  const Initiator2 theta{0.99, 0.45, 0.25};
-  const uint32_t k = 10;
-  SkgSampleOptions options;
-  options.method = SkgSampleMethod::kBallDrop;
-  Rng rng(11);
-  double total = 0.0;
-  const int runs = 30;
-  for (int r = 0; r < runs; ++r) {
-    total += double(SampleSkg(theta, k, rng, options).NumEdges());
-  }
-  const double mean = total / runs;
-  const double expected = ExpectedEdges(theta, k);
-  EXPECT_NEAR(mean, expected, 0.05 * expected);
-}
-
-TEST(BallDropTest, AggregateStatisticsCloseToExactSampler) {
-  // The fast generator is approximate per-pair, but wedges/triangles —
-  // what the estimators consume — must track the exact sampler closely.
-  const Initiator2 theta{0.95, 0.55, 0.25};
-  const uint32_t k = 9;
-  Rng rng_exact(13), rng_fast(17);
-  SkgSampleOptions fast;
-  fast.method = SkgSampleMethod::kBallDrop;
-
-  double exact_wedges = 0, fast_wedges = 0;
-  double exact_tri = 0, fast_tri = 0;
-  const int runs = 20;
-  for (int r = 0; r < runs; ++r) {
-    const Graph ge = SampleSkg(theta, k, rng_exact);
-    const Graph gf = SampleSkg(theta, k, rng_fast, fast);
-    exact_wedges += double(CountWedges(ge));
-    fast_wedges += double(CountWedges(gf));
-    exact_tri += double(CountTriangles(ge));
-    fast_tri += double(CountTriangles(gf));
-  }
-  EXPECT_NEAR(fast_wedges / exact_wedges, 1.0, 0.15);
-  EXPECT_NEAR(fast_tri / exact_tri, 1.0, 0.30);
-}
-
-TEST(BallDropTest, HandlesDenseInitiator) {
-  SkgSampleOptions options;
-  options.method = SkgSampleMethod::kBallDrop;
-  Rng rng(19);
-  const Graph g = SampleSkg({1.0, 1.0, 1.0}, 4, rng, options);
-  // Target ≈ all 120 pairs; duplicate-retry must not spin forever.
-  EXPECT_GT(g.NumEdges(), 100u);
-  EXPECT_LE(g.NumEdges(), 120u);
-}
-
 TEST(EdgeSkipTest, NodeCountAndSimpleGraphInvariants) {
   SkgSampleOptions options;
   options.method = SkgSampleMethod::kEdgeSkip;
@@ -185,9 +135,9 @@ TEST(EdgeSkipTest, HandlesDenseInitiator) {
   options.method = SkgSampleMethod::kEdgeSkip;
   Rng rng(53);
   const Graph g = SampleSkg({1.0, 1.0, 1.0}, 4, rng, options);
-  // Unlike BallDrop, EdgeSkip does not retry duplicate placements — the
-  // realized graph is the *support* of the multinomial balls, so a dense
-  // corner collapses collisions instead of spinning on them. ~120 balls
+  // EdgeSkip does not retry duplicate placements — the realized graph
+  // is the *support* of the multinomial balls, so a dense corner
+  // collapses collisions instead of spinning on them. ~120 balls
   // over 240 ordered cells leave ≈ 1 − e^(−0.94) ≈ 61% of the 120 pairs
   // occupied; anything in a generous band around that is healthy.
   EXPECT_GT(g.NumEdges(), 50u);
@@ -195,25 +145,21 @@ TEST(EdgeSkipTest, HandlesDenseInitiator) {
 }
 
 TEST(EdgeSkipTest, EdgeCountMatchesBallDropExpectation) {
-  // kEdgeSkip reorganizes exactly the ball-dropping computation, so its
-  // mean edge count at k = 10 must sit within statistical tolerance of
-  // both the closed-form expectation and the ball-drop sampler.
+  // kEdgeSkip splits the krongen ball-dropping computation across
+  // quadrants, so its mean edge count at k = 10 must sit within
+  // statistical tolerance of the closed-form expectation.
   const Initiator2 theta{0.99, 0.45, 0.25};
   const uint32_t k = 10;
   SkgSampleOptions edge_skip;
   edge_skip.method = SkgSampleMethod::kEdgeSkip;
-  SkgSampleOptions ball_drop;
-  ball_drop.method = SkgSampleMethod::kBallDrop;
-  Rng rng_skip(59), rng_drop(61);
-  double skip_total = 0.0, drop_total = 0.0;
+  Rng rng_skip(59);
+  double skip_total = 0.0;
   const int runs = 30;
   for (int r = 0; r < runs; ++r) {
     skip_total += double(SampleSkg(theta, k, rng_skip, edge_skip).NumEdges());
-    drop_total += double(SampleSkg(theta, k, rng_drop, ball_drop).NumEdges());
   }
   const double expected = ExpectedEdges(theta, k);
   EXPECT_NEAR(skip_total / runs, expected, 0.05 * expected);
-  EXPECT_NEAR(skip_total / drop_total, 1.0, 0.05);
 }
 
 TEST(EdgeSkipTest, AggregateStatisticsCloseToExactSampler) {

@@ -3,6 +3,7 @@
 #ifndef DPKRON_TESTS_TEST_UTIL_H_
 #define DPKRON_TESTS_TEST_UTIL_H_
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -65,6 +66,17 @@ inline Graph PetersenGraph() {
                         {9, 6},
                         {6, 8},
                         {8, 5}});
+}
+
+// Repacks the bytes of a .dpkb v3 file of `g` into the retired
+// version-2 layout: the same 56-byte header with version field 2 and the
+// two CSR arrays packed right after it. Readers must refuse it.
+inline std::string DpkbV2FromV3(const std::string& v3, const Graph& g) {
+  std::string v2 = v3.substr(0, 56);
+  v2[8] = 2;  // version
+  v2.append(v3.substr(64, sizeof(uint32_t) * (g.NumNodes() + 1)));
+  v2.append(v3.substr(v3.size() - sizeof(uint32_t) * g.Adjacency().size()));
+  return v2;
 }
 
 }  // namespace dpkron::testing
