@@ -142,16 +142,18 @@ int Main(int argc, char** argv) {
   PassCounter ram_passes;
   Rng ram_rng(41);
   t0 = Now();
-  const GraphStatistics from_ram = pipeline.ComputeEphemeral(
-      GraphView(graph).WithPassCounter(&ram_passes), ram_rng);
+  const GraphStatistics from_ram = pipeline.Compute(
+      GraphView(graph).WithPassCounter(&ram_passes), ram_rng,
+      CachePolicy::kOneOff);
   const double ram_seconds = Now() - t0;
 
   std::fprintf(stderr, "# computing statistics from the mmap ...\n");
   PassCounter mmap_passes;
   Rng mmap_rng(41);
   t0 = Now();
-  const GraphStatistics from_mmap = pipeline.ComputeEphemeral(
-      mapped.value()->view().WithPassCounter(&mmap_passes), mmap_rng);
+  const GraphStatistics from_mmap = pipeline.Compute(
+      mapped.value()->view().WithPassCounter(&mmap_passes), mmap_rng,
+      CachePolicy::kOneOff);
   const double mmap_seconds = Now() - t0;
 
   // The acceptance assertions. operator== on GraphStatistics is exact

@@ -9,6 +9,7 @@
 
 #include "src/common/env.h"
 #include "src/common/fnv.h"
+#include "src/common/journal.h"
 
 namespace dpkron {
 namespace {

@@ -46,15 +46,10 @@
 #define DPKRON_COMMON_DISK_CACHE_H_
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <type_traits>
-#include <vector>
 
-#include "src/common/journal.h"
-#include "src/common/rng.h"
 #include "src/common/status.h"
 
 namespace dpkron {
@@ -163,54 +158,6 @@ class DiskEntryClaim {
   std::string lock_path_;
   bool lock_held_ = false;
 };
-
-// ------------------------------------------------- value codec helpers
-//
-// Call sites serialize their cached values with RecordBuilder /
-// RecordParser (journal.h); these cover the one recurring shape — flat
-// POD vectors (degrees, triangle counts, frontier pairs, panel series) —
-// as a single length-checked byte field.
-
-// "POD" here admits std::pair (not trivially copyable only because its
-// assignment operator is user-provided): trivially copy-constructible +
-// trivially destructible is what memcpy round-tripping actually needs.
-template <typename T>
-inline constexpr bool kIsPodVectorElement =
-    std::is_trivially_copy_constructible_v<T> &&
-    std::is_trivially_destructible_v<T>;
-
-template <typename T>
-void EncodePodVector(RecordBuilder& rec, const std::vector<T>& values) {
-  static_assert(kIsPodVectorElement<T>);
-  rec.Str(std::string_view(reinterpret_cast<const char*>(values.data()),
-                           values.size() * sizeof(T)));
-}
-
-template <typename T>
-bool DecodePodVector(RecordParser& rec, std::vector<T>* values) {
-  static_assert(kIsPodVectorElement<T>);
-  const std::string bytes = rec.Str();
-  if (!rec.ok() || bytes.size() % sizeof(T) != 0) return false;
-  values->resize(bytes.size() / sizeof(T));
-  if (!bytes.empty()) std::memcpy(values->data(), bytes.data(), bytes.size());
-  return true;
-}
-
-// The Rng::State a randomized computation's entry carries so a hit can
-// replay the stream advance (field-wise, not raw struct bytes — padding
-// must never reach the checksummed file).
-inline void EncodeRngState(RecordBuilder& rec, const Rng::State& state) {
-  for (uint64_t word : state.s) rec.U64(word);
-  rec.U32(state.have_gaussian ? 1 : 0);
-  rec.Double(state.spare_gaussian);
-}
-
-inline bool DecodeRngState(RecordParser& rec, Rng::State* state) {
-  for (uint64_t& word : state->s) word = rec.U64();
-  state->have_gaussian = rec.U32() != 0;
-  state->spare_gaussian = rec.Double();
-  return rec.ok();
-}
 
 }  // namespace dpkron
 

@@ -118,14 +118,15 @@ class RecordBuilder {
     out_.append(value);
     return *this;
   }
-  const std::string& str() const { return out_; }
-
- private:
+  // Any fixed-width POD field; U32/U64/Double are its named forms.
   template <typename T>
   RecordBuilder& Pod(T value) {
     out_.append(reinterpret_cast<const char*>(&value), sizeof(value));
     return *this;
   }
+  const std::string& str() const { return out_; }
+
+ private:
   std::string out_;
 };
 
@@ -152,10 +153,6 @@ class RecordParser {
     return value;
   }
 
-  bool ok() const { return ok_; }
-  bool done() const { return ok_ && pos_ == data_.size(); }
-
- private:
   template <typename T>
   T Pod() {
     T value{};
@@ -168,6 +165,10 @@ class RecordParser {
     return value;
   }
 
+  bool ok() const { return ok_; }
+  bool done() const { return ok_ && pos_ == data_.size(); }
+
+ private:
   std::string_view data_;
   size_t pos_ = 0;
   bool ok_ = true;

@@ -122,6 +122,8 @@ class Rng {
     uint64_t s[4];
     bool have_gaussian;
     double spare_gaussian;
+
+    bool operator==(const State&) const = default;
   };
   State SaveState() const;
   void RestoreState(const State& state);

@@ -15,17 +15,17 @@
 // keeps cached scenario output byte-identical to the uncached path
 // (tests/stat_cache_test.cc enforces it).
 //
-// Randomized computations additionally store the Rng::State their stream
-// reached, and the call-site wrappers (FitKronFitCached,
-// ReleasePipeline::Compute) restore it on a hit — so the caller's stream
-// advances exactly as if the work had re-run and every downstream draw
-// is unchanged.
+// Randomized computations (FitKronFit, ReleasePipeline::Compute) go
+// through GetOrComputeRandomized, which stores the Rng::State their
+// stream reached with the value and restores it on a hit — so the
+// caller's stream advances exactly as if the work had re-run and every
+// downstream draw is unchanged.
 //
 // Tiers. The in-memory memo is tier 0. A driver may additionally attach
-// a persistent DISK tier (AttachDiskTier → common/disk_cache.h): domains
-// that opt in with GetOrComputeDurable supply a value codec, and the
-// owner of an in-memory miss then reads through to the shared on-disk
-// store before computing, and writes behind after. Disk entries carry
+// a persistent DISK tier (AttachDiskTier → common/disk_cache.h): a value
+// type with a CacheCodec is durable, and the owner of an in-memory miss
+// on one reads through to the shared on-disk store before computing,
+// and writes behind after. Disk entries carry
 // the same (domain, key) content address, so the bit-identical-on-hit
 // contract — including Rng stream restoration — holds across process
 // boundaries: a warm dpkrond restart, a repeated CLI run and the shards
@@ -66,10 +66,11 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/cache_codec.h"
 #include "src/common/disk_cache.h"
 #include "src/common/fnv.h"
-#include "src/common/journal.h"
 #include "src/common/macros.h"
+#include "src/common/rng.h"
 #include "src/common/status.h"
 
 namespace dpkron {
@@ -124,6 +125,8 @@ class StatCache {
     // attached: how many were served warm from disk vs computed cold.
     uint64_t disk_hits = 0;
     uint64_t disk_misses = 0;
+
+    bool operator==(const Counters&) const = default;
   };
 
   // The one process-wide instance.
@@ -158,7 +161,8 @@ class StatCache {
   // waiter and future lookup blocks on — so an unwind is converted into
   // the standard precondition abort instead. When the cache is disabled
   // this is a transparent passthrough: `fn` runs every time and no
-  // counter moves.
+  // counter moves. A durable T (one with a CacheCodec) also reads
+  // through and writes behind the disk tier when one is attached.
   template <typename T, typename Fn>
   std::shared_ptr<const T> GetOrCompute(const char* domain, uint64_t key,
                                         Fn&& fn) {
@@ -170,55 +174,9 @@ class StatCache {
       return std::static_pointer_cast<const T>(lookup.future.get());
     }
     FulfillGuard guard;
-    auto value = std::make_shared<const T>(fn());
-    FinalizeEntry(domain, key, ApproxCacheBytes(*value));
-    guard.fulfilled = true;
-    promise.set_value(value);
-    return value;
-  }
-
-  // GetOrCompute for a domain with a durable (disk-serializable) value:
-  // `encode(value, builder)` appends the value's fields to a
-  // RecordBuilder, `decode(parser)` reads them back as an
-  // std::optional<T> (nullopt = foreign/short record → treated as a
-  // disk miss). With a disk tier attached, the owner of an in-memory
-  // miss first tries the on-disk entry (a warm process-crossing hit —
-  // decoded bytes are the exact bytes a recompute would produce, the
-  // codec round-trip contract tests/disk_cache_test.cc enforces) and
-  // writes the computed value behind on a cold miss. Without a disk
-  // tier this is exactly GetOrCompute.
-  template <typename T, typename Fn, typename Encode, typename Decode>
-  std::shared_ptr<const T> GetOrComputeDurable(const char* domain,
-                                               uint64_t key, Fn&& fn,
-                                               Encode&& encode,
-                                               Decode&& decode) {
-    if (!enabled()) return std::make_shared<const T>(fn());
-    std::promise<std::shared_ptr<const void>> promise;
-    const Lookup lookup =
-        LookupOrRegister(domain, key, promise.get_future().share());
-    if (!lookup.owner) {
-      return std::static_pointer_cast<const T>(lookup.future.get());
-    }
-    FulfillGuard guard;
     std::shared_ptr<const T> value;
-    const std::shared_ptr<const DiskCache> disk = disk_tier();
-    if (disk != nullptr) {
-      DiskEntryClaim claim(disk.get(), domain, key);
-      std::string bytes;
-      if (claim.TryLoad(&bytes)) {
-        RecordParser rec(bytes);
-        std::optional<T> decoded = decode(rec);
-        if (decoded.has_value() && rec.done()) {
-          value = std::make_shared<const T>(std::move(*decoded));
-        }
-      }
-      RecordDiskOutcome(domain, /*hit=*/value != nullptr);
-      if (value == nullptr) {
-        value = std::make_shared<const T>(fn());
-        RecordBuilder rec;
-        encode(*value, rec);
-        claim.Store(rec.str());
-      }
+    if constexpr (DurableCacheValue<T>) {
+      value = ReadThroughDisk<T>(domain, key, fn);
     } else {
       value = std::make_shared<const T>(fn());
     }
@@ -260,6 +218,28 @@ class StatCache {
 
   StatCache() = default;
 
+  // The owner's compute for a durable value: the disk entry when one
+  // decodes — the exact bytes a recompute would produce, the codec
+  // round-trip contract tests/disk_cache_test.cc enforces — else fn()
+  // written behind. Without a disk tier, just fn().
+  template <typename T, typename Fn>
+  std::shared_ptr<const T> ReadThroughDisk(const char* domain, uint64_t key,
+                                           Fn& fn) {
+    const std::shared_ptr<const DiskCache> disk = disk_tier();
+    if (disk == nullptr) return std::make_shared<const T>(fn());
+    DiskEntryClaim claim(disk.get(), domain, key);
+    std::string bytes;
+    std::optional<T> decoded;
+    if (claim.TryLoad(&bytes)) decoded = DecodeCacheValue<T>(bytes);
+    RecordDiskOutcome(domain, /*hit=*/decoded.has_value());
+    if (decoded.has_value()) {
+      return std::make_shared<const T>(std::move(*decoded));
+    }
+    auto value = std::make_shared<const T>(fn());
+    claim.Store(EncodeCacheValue(*value));
+    return value;
+  }
+
   Lookup LookupOrRegister(
       const char* domain, uint64_t key,
       std::shared_future<std::shared_ptr<const void>> candidate);
@@ -281,6 +261,42 @@ class StatCache {
   uint64_t resident_bytes_ = 0;
   uint64_t tick_ = 0;
 };
+
+// A randomized computation's value with the Rng::State its stream
+// reached. Durable when T is: T's bytes, then the state's.
+template <typename T>
+struct RngReplayEntry {
+  T value;
+  Rng::State end_state;
+
+  bool operator==(const RngReplayEntry&) const = default;
+};
+
+template <DurableCacheValue T>
+struct CacheCodec<RngReplayEntry<T>>
+    : FieldCodec<RngReplayEntry<T>, &RngReplayEntry<T>::value,
+                 &RngReplayEntry<T>::end_state> {};
+
+template <typename T>
+size_t ApproxCacheBytes(const RngReplayEntry<T>& entry) {
+  return ApproxCacheBytes(entry.value) + sizeof(entry.end_state);
+}
+
+// GetOrCompute for an `fn` that draws from `rng`: the entry keeps the
+// state fn() left `rng` in, and a hit restores it, so the caller's
+// stream advances exactly as if fn had run and every downstream draw
+// is unchanged. The caller's key must mix in rng.StateFingerprint().
+template <typename T, typename Fn>
+T GetOrComputeRandomized(const char* domain, uint64_t key, Rng& rng,
+                         Fn&& fn) {
+  const auto entry = StatCache::Instance().GetOrCompute<RngReplayEntry<T>>(
+      domain, key, [&] {
+        // Braced initialization runs fn() before SaveState().
+        return RngReplayEntry<T>{fn(), rng.SaveState()};
+      });
+  rng.RestoreState(entry->end_state);
+  return entry->value;
+}
 
 }  // namespace dpkron
 

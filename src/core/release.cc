@@ -16,48 +16,14 @@
 #include "src/linalg/network_value.h"
 
 namespace dpkron {
-namespace {
-
-// Field-wise GraphStatistics codec for the disk StatCache tier (all
-// five panel series are flat POD vectors).
-void EncodeGraphStatistics(RecordBuilder& rec, const GraphStatistics& stats) {
-  EncodePodVector(rec, stats.degree_histogram);
-  EncodePodVector(rec, stats.hop_plot);
-  EncodePodVector(rec, stats.scree);
-  EncodePodVector(rec, stats.network_value);
-  EncodePodVector(rec, stats.clustering_by_degree);
-}
-
-bool DecodeGraphStatistics(RecordParser& rec, GraphStatistics* stats) {
-  return DecodePodVector(rec, &stats->degree_histogram) &&
-         DecodePodVector(rec, &stats->hop_plot) &&
-         DecodePodVector(rec, &stats->scree) &&
-         DecodePodVector(rec, &stats->network_value) &&
-         DecodePodVector(rec, &stats->clustering_by_degree);
-}
-
-// The panels paired with the Rng state the computation reached:
-// restoring it on a hit replays the stream advance (ANF trials, Lanczos
-// starts), so every downstream draw matches the uncached path.
-struct StatisticsCacheEntry {
-  GraphStatistics stats;
-  Rng::State end_state;
-};
-
-size_t ApproxCacheBytes(const StatisticsCacheEntry& entry) {
-  return ApproxCacheBytes(entry.stats) + sizeof(entry.end_state);
-}
-
-}  // namespace
 
 ReleasePipeline::ReleasePipeline(StatisticsOptions options,
                                  SkgSampleMethod method)
     : options_(options), method_(method) {}
 
-GraphStatistics ReleasePipeline::Compute(GraphView graph,
-                                         Rng& rng) const {
-  StatCache& cache = StatCache::Instance();
-  if (!cache.enabled()) return ComputeImpl(graph, rng, /*cache_leaves=*/false);
+GraphStatistics ReleasePipeline::Compute(GraphView graph, Rng& rng,
+                                         CachePolicy policy) const {
+  if (policy == CachePolicy::kOneOff) return ComputeImpl(graph, rng, policy);
   const uint64_t key = CacheKey()
                            .Mix(graph.ContentFingerprint())
                            .Mix(rng.StateFingerprint())
@@ -66,32 +32,13 @@ GraphStatistics ReleasePipeline::Compute(GraphView graph,
                            .Mix(options_.exact_hop_plot_limit)
                            .Mix(options_.anf_trials)
                            .digest();
-  const auto entry = cache.GetOrComputeDurable<StatisticsCacheEntry>(
-      "statistics", key,
-      [&] {
-        StatisticsCacheEntry e;
-        e.stats = ComputeImpl(graph, rng, /*cache_leaves=*/true);
-        e.end_state = rng.SaveState();
-        return e;
-      },
-      [](const StatisticsCacheEntry& e, RecordBuilder& rec) {
-        EncodeGraphStatistics(rec, e.stats);
-        EncodeRngState(rec, e.end_state);
-      },
-      [](RecordParser& rec) -> std::optional<StatisticsCacheEntry> {
-        StatisticsCacheEntry e;
-        if (!DecodeGraphStatistics(rec, &e.stats) ||
-            !DecodeRngState(rec, &e.end_state)) {
-          return std::nullopt;
-        }
-        return e;
-      });
-  rng.RestoreState(entry->end_state);
-  return entry->stats;
+  // A hit replays the stream advance (ANF trials, Lanczos starts).
+  return GetOrComputeRandomized<GraphStatistics>(
+      "statistics", key, rng, [&] { return ComputeImpl(graph, rng, policy); });
 }
 
 GraphStatistics ReleasePipeline::ComputeImpl(GraphView graph, Rng& rng,
-                                             bool cache_leaves) const {
+                                             CachePolicy policy) const {
   GraphStatistics stats;
 
   // The explicit fused-pass plan (tests/graph_view_test.cc pins it with
@@ -111,31 +58,17 @@ GraphStatistics ReleasePipeline::ComputeImpl(GraphView graph, Rng& rng,
   // RNG order is unchanged from the unfused pipeline: the node-stats
   // pass draws nothing, so ANF → Lanczos → power-iteration consume the
   // stream exactly as before — outputs stay byte-identical.
-  StatCache& cache = StatCache::Instance();
-  const bool use_cache = cache_leaves && cache.enabled();
+  //
   // One durable leaf for the fused pass, keyed purely by the graph:
   // in-RAM and mmap backings of the same CSR bytes share the entry
   // bit-identically (fingerprints agree by construction).
   std::shared_ptr<const NodeStats> node_stats;
-  if (!use_cache) {
+  if (policy == CachePolicy::kOneOff) {
     node_stats = std::make_shared<const NodeStats>(ComputeNodeStats(graph));
   } else {
-    const uint64_t graph_key =
-        CacheKey().Mix(graph.ContentFingerprint()).digest();
-    node_stats = cache.GetOrComputeDurable<NodeStats>(
-        "node_stats", graph_key, [&graph] { return ComputeNodeStats(graph); },
-        [](const NodeStats& value, RecordBuilder& rec) {
-          EncodePodVector(rec, value.degrees);
-          EncodePodVector(rec, value.triangles);
-        },
-        [](RecordParser& rec) -> std::optional<NodeStats> {
-          NodeStats value;
-          if (!DecodePodVector(rec, &value.degrees) ||
-              !DecodePodVector(rec, &value.triangles)) {
-            return std::nullopt;
-          }
-          return value;
-        });
+    node_stats = StatCache::Instance().GetOrCompute<NodeStats>(
+        "node_stats", CacheKey().Mix(graph.ContentFingerprint()).digest(),
+        [&graph] { return ComputeNodeStats(graph); });
   }
   const std::vector<uint32_t>& degrees = node_stats->degrees;
 
@@ -195,18 +128,19 @@ std::vector<double> AveragePositional(
 }  // namespace
 
 GraphStatistics ReleasePipeline::Expected(const Initiator2& theta, uint32_t k,
-                                          uint32_t realizations,
-                                          Rng& rng) const {
+                                          uint32_t realizations, Rng& rng,
+                                          CachePolicy policy) const {
   DPKRON_CHECK_GE(realizations, 1u);
 
   // The parent stream is split BEFORE the cache lookup and regardless of
   // its outcome, so `rng` advances identically on hit and miss — the
   // expected table is a pure function of (θ, k, R, options, method,
   // parent state), which is exactly the cache key.
-  StatCache& cache = StatCache::Instance();
   const uint64_t rng_fingerprint = rng.StateFingerprint();
   std::vector<Rng> streams = SplitRngStreams(rng, realizations);
-  if (!cache.enabled()) return ExpectedImpl(theta, k, realizations, streams);
+  if (policy == CachePolicy::kOneOff) {
+    return ExpectedImpl(theta, k, realizations, streams);
+  }
   const uint64_t key = CacheKey()
                            .MixDouble(theta.a)
                            .MixDouble(theta.b)
@@ -220,17 +154,9 @@ GraphStatistics ReleasePipeline::Expected(const Initiator2& theta, uint32_t k,
                            .Mix(static_cast<uint64_t>(method_))
                            .Mix(rng_fingerprint)
                            .digest();
-  return *cache.GetOrComputeDurable<GraphStatistics>(
+  return *StatCache::Instance().GetOrCompute<GraphStatistics>(
       "expected", key,
-      [&] { return ExpectedImpl(theta, k, realizations, streams); },
-      [](const GraphStatistics& stats, RecordBuilder& rec) {
-        EncodeGraphStatistics(rec, stats);
-      },
-      [](RecordParser& rec) -> std::optional<GraphStatistics> {
-        GraphStatistics stats;
-        if (!DecodeGraphStatistics(rec, &stats)) return std::nullopt;
-        return stats;
-      });
+      [&] { return ExpectedImpl(theta, k, realizations, streams); });
 }
 
 GraphStatistics ReleasePipeline::ExpectedImpl(const Initiator2& theta,
@@ -248,12 +174,11 @@ GraphStatistics ReleasePipeline::ExpectedImpl(const Initiator2& theta,
   ParallelForChunks(realizations, 1, [&](const ParallelChunk& chunk) {
     for (size_t r = chunk.begin; r < chunk.end; ++r) {
       const Graph sample = Sample(theta, k, streams[r]);
-      // ComputeImpl without leaf caching: the whole Expected table is
-      // cached as one entry, so memoizing a realization's one-off
-      // sample (or its intermediates) would only fill the memo with
-      // unreusable entries.
-      per_realization[r] = ComputeImpl(sample, streams[r],
-                                       /*cache_leaves=*/false);
+      // One-off: the whole Expected table is cached as one entry, so
+      // memoizing a realization's sample (or its intermediates) would
+      // only fill the memo with unreusable entries.
+      per_realization[r] =
+          ComputeImpl(sample, streams[r], CachePolicy::kOneOff);
     }
   });
 
@@ -291,20 +216,6 @@ GraphStatistics ReleasePipeline::ExpectedImpl(const Initiator2& theta,
   mean.scree = AveragePositional(scree_series);
   mean.network_value = AveragePositional(netval_series);
   return mean;
-}
-
-GraphStatistics ReleasePipeline::ComputeEphemeral(GraphView graph,
-                                                  Rng& rng) const {
-  return ComputeImpl(graph, rng, /*cache_leaves=*/false);
-}
-
-GraphStatistics ReleasePipeline::ExpectedEphemeral(const Initiator2& theta,
-                                                   uint32_t k,
-                                                   uint32_t realizations,
-                                                   Rng& rng) const {
-  DPKRON_CHECK_GE(realizations, 1u);
-  std::vector<Rng> streams = SplitRngStreams(rng, realizations);
-  return ExpectedImpl(theta, k, realizations, streams);
 }
 
 Graph ReleasePipeline::Sample(const Initiator2& theta, uint32_t k,

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/cache_codec.h"
 #include "src/common/rng.h"
 #include "src/graph/graph_view.h"
 #include "src/skg/initiator.h"
@@ -50,6 +51,14 @@ inline size_t ApproxCacheBytes(const GraphStatistics& stats) {
          stats.clustering_by_degree.capacity() * sizeof(std::pair<double, double>);
 }
 
+// A durable StatCache value (common/cache_codec.h).
+template <>
+struct CacheCodec<GraphStatistics>
+    : FieldCodec<GraphStatistics, &GraphStatistics::degree_histogram,
+                 &GraphStatistics::hop_plot, &GraphStatistics::scree,
+                 &GraphStatistics::network_value,
+                 &GraphStatistics::clustering_by_degree> {};
+
 struct StatisticsOptions {
   uint32_t num_singular_values = 50;
   // Components of the network-value series kept (plots truncate anyway).
@@ -58,6 +67,14 @@ struct StatisticsOptions {
   uint32_t exact_hop_plot_limit = 4096;
   uint32_t anf_trials = 32;
 };
+
+// Whether a panel computation's inputs can recur. Values and rng
+// consumption are identical either way; a one-off computation (e.g. on
+// the sample of a per-run private Θ̃, whose ε-dependent fingerprint no
+// later run shares) stores nothing, which keeps unreusable entries out
+// of the StatCache across a sweep: without a byte budget they would
+// accumulate, and under one they would evict reusable entries.
+enum class CachePolicy { kReusable, kOneOff };
 
 // The release pipeline behind every scenario: sample synthetic graphs
 // from an initiator and compute the five statistics panels, once or
@@ -71,12 +88,13 @@ struct StatisticsOptions {
 // (tests/parallel_test.cc enforces it).
 //
 // StatCache integration: when the process-wide StatCache is enabled,
-// Compute() and Expected() are memoized on every input they are a pure
-// function of — graph fingerprint / (Θ, k, R), the statistics options,
-// and the Rng state — and Compute() restores the rng to the state the
-// original computation left it in, so downstream draws are identical
-// whether the panels were computed or served. An ε sweep thus computes
-// each deterministic panel set once, not once per ε.
+// Compute() and Expected() under CachePolicy::kReusable are memoized on
+// every input they are a pure function of — graph fingerprint /
+// (Θ, k, R), the statistics options, and the Rng state — and Compute()
+// restores the rng to the state the original computation left it in, so
+// downstream draws are identical whether the panels were computed or
+// served. An ε sweep thus computes each deterministic panel set once,
+// not once per ε. Under CachePolicy::kOneOff nothing is stored.
 class ReleasePipeline {
  public:
   explicit ReleasePipeline(
@@ -85,9 +103,10 @@ class ReleasePipeline {
 
   // All five statistics of one concrete graph. The degree vector and
   // per-node triangle counts are materialized once — served through the
-  // StatCache when enabled — and feed both the histogram and the
-  // clustering-by-degree panel.
-  GraphStatistics Compute(GraphView graph, Rng& rng) const;
+  // StatCache when enabled and reusable — and feed both the histogram
+  // and the clustering-by-degree panel.
+  GraphStatistics Compute(GraphView graph, Rng& rng,
+                          CachePolicy policy = CachePolicy::kReusable) const;
 
   // "Expected" statistics: mean of each statistic over `realizations`
   // samples of the SKG (Θ, k) — the paper's 100-realization averages.
@@ -96,33 +115,22 @@ class ReleasePipeline {
   // index (shorter series are padded with their final value, matching how
   // saturated hop plots behave).
   GraphStatistics Expected(const Initiator2& theta, uint32_t k,
-                           uint32_t realizations, Rng& rng) const;
+                           uint32_t realizations, Rng& rng,
+                           CachePolicy policy = CachePolicy::kReusable) const;
 
   // One synthetic graph from an estimated parameter (the "KronFit" /
   // "KronMom" / "Private" single-realization series).
   Graph Sample(const Initiator2& theta, uint32_t k, Rng& rng) const;
 
-  // Compute()/Expected() without memoization, for inputs that cannot
-  // recur — e.g. the sample of a per-run private Θ̃, whose ε-dependent
-  // fingerprint no later run shares. Values and rng consumption are
-  // identical to the cached paths; the only difference is that nothing
-  // is stored, which keeps one-off O(N) entries out of the StatCache
-  // across a sweep: without a byte budget they would accumulate, and
-  // under one they would evict reusable entries.
-  GraphStatistics ComputeEphemeral(GraphView graph, Rng& rng) const;
-  GraphStatistics ExpectedEphemeral(const Initiator2& theta, uint32_t k,
-                                    uint32_t realizations, Rng& rng) const;
-
   const StatisticsOptions& options() const { return options_; }
   SkgSampleMethod method() const { return method_; }
 
  private:
-  // `cache_leaves` routes the degree vector / per-node triangle
-  // intermediates through the StatCache; Expected() passes false for
-  // its one-off realization samples, whose entries could never be
-  // reused and would only grow the memo.
+  // Under kReusable the degree vector / per-node triangle intermediates
+  // go through the StatCache; Expected() passes kOneOff for its
+  // realization samples, whose entries could never be reused.
   GraphStatistics ComputeImpl(GraphView graph, Rng& rng,
-                              bool cache_leaves) const;
+                              CachePolicy policy) const;
   GraphStatistics ExpectedImpl(const Initiator2& theta, uint32_t k,
                                uint32_t realizations,
                                std::vector<Rng>& streams) const;

@@ -38,18 +38,9 @@ Result<std::vector<double>> PrivateDegreeSequence(
   // mechanism; only the noise depends on (ε, rng). Serving it through
   // the StatCache (durably — a plain POD vector) lets an ε/seed sweep
   // extract it once per graph and later processes reload it from disk.
-  const auto sorted =
-      StatCache::Instance().GetOrComputeDurable<std::vector<uint32_t>>(
-          "sorted_degrees", CacheKey().Mix(graph.ContentFingerprint()).digest(),
-          [&graph] { return SortedDegreeVector(graph); },
-          [](const std::vector<uint32_t>& degrees, RecordBuilder& rec) {
-            EncodePodVector(rec, degrees);
-          },
-          [](RecordParser& rec) -> std::optional<std::vector<uint32_t>> {
-            std::vector<uint32_t> degrees;
-            if (!DecodePodVector(rec, &degrees)) return std::nullopt;
-            return degrees;
-          });
+  const auto sorted = StatCache::Instance().GetOrCompute<std::vector<uint32_t>>(
+      "sorted_degrees", CacheKey().Mix(graph.ContentFingerprint()).digest(),
+      [&graph] { return SortedDegreeVector(graph); });
   return PrivatizeSortedDegrees(*sorted, epsilon, graph.NumNodes(), rng,
                                 options);
 }

@@ -222,22 +222,9 @@ double TriangleSensitivityProfile::SmoothSensitivity(double beta) const {
 
 std::shared_ptr<const TriangleSensitivityProfile>
 CachedTriangleSensitivityProfile(GraphView graph) {
-  return StatCache::Instance().GetOrComputeDurable<TriangleSensitivityProfile>(
-      "triangle_profile",
-      CacheKey().Mix(graph.ContentFingerprint()).digest(),
-      [&graph] { return TriangleSensitivityProfile(graph); },
-      [](const TriangleSensitivityProfile& profile, RecordBuilder& rec) {
-        rec.U32(profile.num_nodes()).U32(profile.exact() ? 1 : 0);
-        EncodePodVector(rec, profile.frontier());
-      },
-      [](RecordParser& rec) -> std::optional<TriangleSensitivityProfile> {
-        const uint32_t num_nodes = rec.U32();
-        const uint32_t exact = rec.U32();
-        std::vector<std::pair<uint64_t, uint64_t>> frontier;
-        if (!rec.ok() || !DecodePodVector(rec, &frontier)) return std::nullopt;
-        return TriangleSensitivityProfile(num_nodes, exact != 0,
-                                          std::move(frontier));
-      });
+  return StatCache::Instance().GetOrCompute<TriangleSensitivityProfile>(
+      "triangle_profile", CacheKey().Mix(graph.ContentFingerprint()).digest(),
+      [&graph] { return TriangleSensitivityProfile(graph); });
 }
 
 double SmoothSensitivityTriangles(GraphView graph, double beta) {
@@ -257,15 +244,9 @@ PrivateTriangleResult PrivateTriangleCount(GraphView graph, double epsilon,
   result.smooth_sensitivity = profile->SmoothSensitivity(result.beta);
   result.exact_sensitivity = profile->exact();
   result.exact =
-      static_cast<double>(*StatCache::Instance().GetOrComputeDurable<uint64_t>(
+      static_cast<double>(*StatCache::Instance().GetOrCompute<uint64_t>(
           "triangle_count", CacheKey().Mix(graph.ContentFingerprint()).digest(),
-          [&graph] { return CountTriangles(graph); },
-          [](uint64_t count, RecordBuilder& rec) { rec.U64(count); },
-          [](RecordParser& rec) -> std::optional<uint64_t> {
-            const uint64_t count = rec.U64();
-            if (!rec.ok()) return std::nullopt;
-            return count;
-          }));
+          [&graph] { return CountTriangles(graph); }));
   result.value = result.exact +
                  2.0 * result.smooth_sensitivity / epsilon * rng.NextLaplace(1.0);
   return result;

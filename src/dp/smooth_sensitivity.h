@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/cache_codec.h"
 #include "src/common/rng.h"
 #include "src/graph/graph_view.h"
 
@@ -77,6 +78,8 @@ class TriangleSensitivityProfile {
     return frontier_;
   }
 
+  bool operator==(const TriangleSensitivityProfile&) const = default;
+
  private:
   uint32_t num_nodes_;
   bool exact_ = true;
@@ -89,6 +92,25 @@ inline size_t ApproxCacheBytes(const TriangleSensitivityProfile& profile) {
   return sizeof(profile) +
          profile.frontier().capacity() * sizeof(std::pair<uint64_t, uint64_t>);
 }
+
+// A durable StatCache value (common/cache_codec.h): num_nodes, exact,
+// frontier.
+template <>
+struct CacheCodec<TriangleSensitivityProfile> {
+  using Frontier = std::vector<std::pair<uint64_t, uint64_t>>;
+  static void Encode(const TriangleSensitivityProfile& profile,
+                     RecordBuilder& rec) {
+    rec.U32(profile.num_nodes()).U32(profile.exact() ? 1 : 0);
+    CacheCodec<Frontier>::Encode(profile.frontier(), rec);
+  }
+  static std::optional<TriangleSensitivityProfile> Decode(RecordParser& rec) {
+    const uint32_t num_nodes = rec.U32();
+    const bool exact = rec.U32() != 0;
+    std::optional<Frontier> frontier = CacheCodec<Frontier>::Decode(rec);
+    if (!frontier.has_value()) return std::nullopt;
+    return TriangleSensitivityProfile(num_nodes, exact, std::move(*frontier));
+  }
+};
 
 // The profile of `graph`, served through the process-wide StatCache
 // when it is enabled (keyed by the graph's content fingerprint — the

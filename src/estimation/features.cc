@@ -26,24 +26,9 @@ GraphFeatures ComputeFeatures(GraphView graph) {
 }
 
 GraphFeatures ComputeFeaturesCached(GraphView graph) {
-  return *StatCache::Instance().GetOrComputeDurable<GraphFeatures>(
+  return *StatCache::Instance().GetOrCompute<GraphFeatures>(
       "features", CacheKey().Mix(graph.ContentFingerprint()).digest(),
-      [&graph] { return ComputeFeatures(graph); },
-      [](const GraphFeatures& f, RecordBuilder& rec) {
-        rec.Double(f.edges)
-            .Double(f.hairpins)
-            .Double(f.triangles)
-            .Double(f.tripins);
-      },
-      [](RecordParser& rec) -> std::optional<GraphFeatures> {
-        GraphFeatures f;
-        f.edges = rec.Double();
-        f.hairpins = rec.Double();
-        f.triangles = rec.Double();
-        f.tripins = rec.Double();
-        if (!rec.ok()) return std::nullopt;
-        return f;
-      });
+      [&graph] { return ComputeFeatures(graph); });
 }
 
 GraphFeatures FeaturesFromDegrees(const std::vector<double>& degrees,

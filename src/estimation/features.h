@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/common/cache_codec.h"
 #include "src/graph/graph_view.h"
 #include "src/skg/moments.h"
 
@@ -23,7 +24,16 @@ struct GraphFeatures {
   double tripins = 0.0;    // T (3-stars)
 
   std::string ToString() const;
+
+  bool operator==(const GraphFeatures&) const = default;
 };
+
+// A durable StatCache value (common/cache_codec.h).
+template <>
+struct CacheCodec<GraphFeatures>
+    : FieldCodec<GraphFeatures, &GraphFeatures::edges,
+                 &GraphFeatures::hairpins, &GraphFeatures::triangles,
+                 &GraphFeatures::tripins> {};
 
 // Exact feature extraction (triangles via the forward algorithm, stars
 // from the degree sequence).

@@ -111,28 +111,9 @@ KronMomResult FitKronMomToFeatures(const GraphFeatures& observed, uint32_t k,
                            .Mix(options.grid_points)
                            .Mix(options.num_starts)
                            .digest();
-  return *StatCache::Instance().GetOrComputeDurable<KronMomResult>(
+  return *StatCache::Instance().GetOrCompute<KronMomResult>(
       "kronmom_fit", key,
-      [&] { return FitKronMomToFeaturesImpl(observed, k, options); },
-      [](const KronMomResult& result, RecordBuilder& rec) {
-        rec.Double(result.theta.a)
-            .Double(result.theta.b)
-            .Double(result.theta.c)
-            .Double(result.objective)
-            .U32(result.k)
-            .U32(result.converged ? 1 : 0);
-      },
-      [](RecordParser& rec) -> std::optional<KronMomResult> {
-        KronMomResult result;
-        result.theta.a = rec.Double();
-        result.theta.b = rec.Double();
-        result.theta.c = rec.Double();
-        result.objective = rec.Double();
-        result.k = rec.U32();
-        result.converged = rec.U32() != 0;
-        if (!rec.ok()) return std::nullopt;
-        return result;
-      });
+      [&] { return FitKronMomToFeaturesImpl(observed, k, options); });
 }
 
 KronMomResult FitKronMom(GraphView graph, const KronMomOptions& options) {

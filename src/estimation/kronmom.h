@@ -10,6 +10,7 @@
 
 #include <cstdint>
 
+#include "src/common/cache_codec.h"
 #include "src/estimation/features.h"
 #include "src/estimation/nelder_mead.h"
 #include "src/estimation/objective.h"
@@ -32,7 +33,16 @@ struct KronMomResult {
   double objective = 0.0;  // Eq. (2) value at theta
   uint32_t k = 0;          // Kronecker order used
   bool converged = false;
+
+  bool operator==(const KronMomResult&) const = default;
 };
+
+// A durable StatCache value (common/cache_codec.h).
+template <>
+struct CacheCodec<KronMomResult>
+    : FieldCodec<KronMomResult, &KronMomResult::theta,
+                 &KronMomResult::objective, &KronMomResult::k,
+                 &KronMomResult::converged> {};
 
 // Smallest k with 2^k ≥ num_nodes — the model-selection rule the paper
 // uses (N is padded up to the next power of two).

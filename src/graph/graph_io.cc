@@ -743,37 +743,28 @@ Result<GraphHandle> OpenEdgeListSidecar(const std::string& path, bool mmap,
   // each duplicating it, and warm runs share the memoized handle's
   // backing. Keying by content — not path — keeps the freshness
   // semantics identical to the sidecar's: a rewritten source is a new
-  // key, never a stale serve.
-  StatCache& memo = StatCache::Instance();
-  if (memo.enabled()) {
-    struct MemoEntry {
-      Result<GraphHandle> result;
-      bool sidecar_hit;
-    };
-    bool computed = false;
-    const uint64_t key = CacheKey()
-                             .Mix(current.size)
-                             .Mix(current.checksum)
-                             .Mix(uint64_t{mmap})
-                             .digest();
-    const auto entry = memo.GetOrCompute<MemoEntry>("graph_load", key, [&] {
-      computed = true;
-      MemoEntry e{Status::Internal("unreachable"), false};
-      e.result = OpenViaSidecar(path, bytes.value(), current, mmap, options,
-                                &e.sidecar_hit);
-      return e;
-    });
-    if (cache_hit != nullptr) {
-      *cache_hit = computed ? entry->sidecar_hit : true;
-    }
-    return entry->result;
-  }
-
-  bool sidecar_hit = false;
-  auto result =
-      OpenViaSidecar(path, bytes.value(), current, mmap, options, &sidecar_hit);
-  if (cache_hit != nullptr) *cache_hit = sidecar_hit;
-  return result;
+  // key, never a stale serve. The entry has no CacheCodec, so it never
+  // reaches the disk tier.
+  struct MemoEntry {
+    Result<GraphHandle> result;
+    bool sidecar_hit;
+  };
+  bool computed = false;
+  const uint64_t key = CacheKey()
+                           .Mix(current.size)
+                           .Mix(current.checksum)
+                           .Mix(uint64_t{mmap})
+                           .digest();
+  const auto entry =
+      StatCache::Instance().GetOrCompute<MemoEntry>("graph_load", key, [&] {
+        computed = true;
+        MemoEntry e{Status::Internal("unreachable"), false};
+        e.result = OpenViaSidecar(path, bytes.value(), current, mmap, options,
+                                  &e.sidecar_hit);
+        return e;
+      });
+  if (cache_hit != nullptr) *cache_hit = computed ? entry->sidecar_hit : true;
+  return entry->result;
 }
 
 }  // namespace dpkron

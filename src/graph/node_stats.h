@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/cache_codec.h"
 #include "src/graph/graph_view.h"
 
 namespace dpkron {
@@ -44,6 +45,11 @@ inline size_t ApproxCacheBytes(const NodeStats& stats) {
   return sizeof(stats) + stats.degrees.capacity() * sizeof(uint32_t) +
          stats.triangles.capacity() * sizeof(uint64_t);
 }
+
+// A durable StatCache value (common/cache_codec.h).
+template <>
+struct CacheCodec<NodeStats>
+    : FieldCodec<NodeStats, &NodeStats::degrees, &NodeStats::triangles> {};
 
 // One fused CSR traversal: degrees + per-node triangle counts.
 // Equivalent to {DegreeVector(graph), PerNodeTriangles(graph)} but

@@ -77,7 +77,9 @@ double MetropolisChains::BestLogLikelihood(
   return best;
 }
 
-KronFitResult FitKronFit(GraphView graph, Rng& rng,
+namespace {
+
+KronFitResult RunKronFit(GraphView graph, Rng& rng,
                          const KronFitOptions& options) {
   DPKRON_CHECK_GE(graph.NumNodes(), 2u);
   const uint32_t k = ChooseKroneckerOrder(graph.NumNodes());
@@ -145,10 +147,10 @@ KronFitResult FitKronFit(GraphView graph, Rng& rng,
   return result;
 }
 
-KronFitResult FitKronFitCached(GraphView graph, Rng& rng,
-                               const KronFitOptions& options) {
-  StatCache& cache = StatCache::Instance();
-  if (!cache.enabled()) return FitKronFit(graph, rng, options);
+}  // namespace
+
+KronFitResult FitKronFit(GraphView graph, Rng& rng,
+                         const KronFitOptions& options) {
   const uint64_t key =
       CacheKey()
           .Mix(graph.ContentFingerprint())
@@ -164,43 +166,8 @@ KronFitResult FitKronFitCached(GraphView graph, Rng& rng,
           .MixDouble(options.init.b)
           .MixDouble(options.init.c)
           .digest();
-  struct Entry {
-    KronFitResult result;
-    Rng::State end_state;
-  };
-  // Durable entry = the fit plus the Rng state its stream reached, so a
-  // warm-start from disk replays the stream advance exactly like an
-  // in-memory hit.
-  const auto entry = cache.GetOrComputeDurable<Entry>(
-      "kronfit", key,
-      [&] {
-        Entry e;
-        e.result = FitKronFit(graph, rng, options);
-        e.end_state = rng.SaveState();
-        return e;
-      },
-      [](const Entry& e, RecordBuilder& rec) {
-        rec.Double(e.result.theta.a)
-            .Double(e.result.theta.b)
-            .Double(e.result.theta.c)
-            .Double(e.result.log_likelihood)
-            .U32(e.result.k);
-        EncodeRngState(rec, e.end_state);
-      },
-      [](RecordParser& rec) -> std::optional<Entry> {
-        Entry e;
-        e.result.theta.a = rec.Double();
-        e.result.theta.b = rec.Double();
-        e.result.theta.c = rec.Double();
-        e.result.log_likelihood = rec.Double();
-        e.result.k = rec.U32();
-        if (!DecodeRngState(rec, &e.end_state)) return std::nullopt;
-        return e;
-      });
-  // Replay the stream advance on a hit (no-op for the computing caller):
-  // downstream consumers of `rng` see the same draws either way.
-  rng.RestoreState(entry->end_state);
-  return entry->result;
+  return GetOrComputeRandomized<KronFitResult>(
+      "kronfit", key, rng, [&] { return RunKronFit(graph, rng, options); });
 }
 
 }  // namespace dpkron

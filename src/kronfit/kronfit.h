@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/cache_codec.h"
 #include "src/common/rng.h"
 #include "src/graph/graph_view.h"
 #include "src/kronfit/likelihood.h"
@@ -56,7 +57,15 @@ struct KronFitResult {
   Initiator2 theta;              // canonical (a ≥ c)
   double log_likelihood = 0.0;   // approx. ll of the final theta
   uint32_t k = 0;
+
+  bool operator==(const KronFitResult&) const = default;
 };
+
+// A durable StatCache value (common/cache_codec.h).
+template <>
+struct CacheCodec<KronFitResult>
+    : FieldCodec<KronFitResult, &KronFitResult::theta,
+                 &KronFitResult::log_likelihood, &KronFitResult::k> {};
 
 // Bank of independent Metropolis permutation chains over one padded
 // graph. Chain c starts from the degree-guided init perturbed by its own
@@ -106,18 +115,15 @@ class MetropolisChains {
 
 // Fits Θ to `graph`. The graph is padded to 2^k nodes internally with
 // k = ChooseKroneckerOrder(NumNodes()).
+//
+// Served through the process-wide StatCache when it is enabled, keyed
+// by (graph fingerprint, rng state fingerprint, options) — the inputs
+// the fit is a pure function of. On a hit `rng` is restored to the
+// state the original fit left it in, so downstream draws are identical
+// whether the fit ran or was served; a sweep that varies only ε
+// therefore pays for each (graph, seed) fit exactly once.
 KronFitResult FitKronFit(GraphView graph, Rng& rng,
                          const KronFitOptions& options = {});
-
-// FitKronFit served through the process-wide StatCache when it is
-// enabled, keyed by (graph fingerprint, rng state fingerprint, options)
-// — the inputs the fit is a pure function of. On a hit `rng` is
-// restored to the state the original fit left it in, so downstream
-// draws are identical whether the fit ran or was served; a sweep that
-// varies only ε therefore pays for each (graph, seed) fit exactly once.
-// With the cache disabled this is exactly FitKronFit.
-KronFitResult FitKronFitCached(GraphView graph, Rng& rng,
-                               const KronFitOptions& options = {});
 
 // `graph` with isolated nodes appended until NumNodes() == num_nodes,
 // without copying an edge: appended nodes have no edges, so the result

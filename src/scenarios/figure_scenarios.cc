@@ -81,8 +81,7 @@ Status RunFigure(const ScenarioSpec& spec, const ScenarioParams& p,
   Rng kronfit_rng = rng.Split();
   // Cached: in an ε sweep the fit depends on (graph, seed) only, so the
   // 5-ε runs of one seed share a single fit.
-  const KronFitResult kronfit =
-      FitKronFitCached(original, kronfit_rng, kf_options);
+  const KronFitResult kronfit = FitKronFit(original, kronfit_rng, kf_options);
 
   Rng private_rng = rng.Split();
   PrivacyBudget budget(p.epsilon, p.delta);
@@ -105,37 +104,30 @@ Status RunFigure(const ScenarioSpec& spec, const ScenarioParams& p,
 
   // The private Θ̃ is a fresh mechanism draw per (ε, seed) run, so its
   // sample statistics can never be served to another run — compute them
-  // through the ephemeral (non-memoizing) path. The kronfit/kronmom
-  // estimates are ε-independent and their panels DO recur across an ε
-  // sweep, which is what the cached path amortizes.
+  // one-off. The kronfit/kronmom estimates are ε-independent and their
+  // panels DO recur across an ε sweep, which is what caching amortizes.
   struct Estimate {
     const char* name;
     Initiator2 theta;
-    bool per_run;
+    CachePolicy policy;
   };
   const Estimate estimates[] = {
-      {"kronfit", kronfit.theta, false},
-      {"kronmom", kronmom.theta, false},
-      {"private", private_fit.value().theta, true},
+      {"kronfit", kronfit.theta, CachePolicy::kReusable},
+      {"kronmom", kronmom.theta, CachePolicy::kReusable},
+      {"private", private_fit.value().theta, CachePolicy::kOneOff},
   };
   for (const Estimate& estimate : estimates) {
     const Graph sample = pipeline.Sample(estimate.theta, k, stats_rng);
     EmitStatistics(out, estimate.name,
-                   estimate.per_run
-                       ? pipeline.ComputeEphemeral(sample, stats_rng)
-                       : pipeline.Compute(sample, stats_rng));
+                   pipeline.Compute(sample, stats_rng, estimate.policy));
   }
 
   // --- "Expected" series: averages over R realizations -------------------
   if (p.realizations > 0) {
     for (const Estimate& estimate : estimates) {
-      const GraphStatistics mean =
-          estimate.per_run
-              ? pipeline.ExpectedEphemeral(estimate.theta, k, p.realizations,
-                                           stats_rng)
-              : pipeline.Expected(estimate.theta, k, p.realizations,
-                                  stats_rng);
-      EmitStatistics(out, std::string("expected-") + estimate.name, mean);
+      EmitStatistics(out, std::string("expected-") + estimate.name,
+                     pipeline.Expected(estimate.theta, k, p.realizations,
+                                       stats_rng, estimate.policy));
     }
   }
   return Status::Ok();

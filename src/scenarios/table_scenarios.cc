@@ -69,8 +69,7 @@ Status RunTable1(const ScenarioSpec& spec, const ScenarioParams& p,
     KronFitOptions kf_options;
     kf_options.iterations = p.kronfit_iterations;
     Rng kronfit_rng = rng.Split();
-    const KronFitResult kronfit =
-        FitKronFitCached(graph, kronfit_rng, kf_options);
+    const KronFitResult kronfit = FitKronFit(graph, kronfit_rng, kf_options);
 
     // The private estimator is a randomized mechanism; a single draw can
     // be unlucky when the triangle count is noise-dominated (sparse

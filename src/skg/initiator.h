@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/cache_codec.h"
 #include "src/common/status.h"
 
 namespace dpkron {
@@ -41,7 +42,14 @@ struct Initiator2 {
   double EntrySum() const { return a + 2.0 * b + c; }
 
   std::string ToString() const;  // "[a b; b c]" with 4 decimals
+
+  bool operator==(const Initiator2&) const = default;
 };
+
+// A durable StatCache value (common/cache_codec.h).
+template <>
+struct CacheCodec<Initiator2>
+    : FieldCodec<Initiator2, &Initiator2::a, &Initiator2::b, &Initiator2::c> {};
 
 // L∞ distance between two initiators (used in tests/benches).
 double MaxAbsDifference(const Initiator2& x, const Initiator2& y);

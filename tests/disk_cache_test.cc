@@ -22,10 +22,22 @@
 #include <gtest/gtest.h>
 #include "src/common/env.h"
 #include "src/common/stat_cache.h"
+#include "src/core/release.h"
+#include "src/dp/smooth_sensitivity.h"
+#include "src/estimation/features.h"
+#include "src/estimation/kronmom.h"
+#include "src/graph/node_stats.h"
 #include "src/kronfit/kronfit.h"
 #include "tests/test_util.h"
 
 namespace dpkron {
+
+// A test-only durable value: two U32 fields.
+using U32Pair = std::pair<uint32_t, uint32_t>;
+template <>
+struct CacheCodec<U32Pair>
+    : FieldCodec<U32Pair, &U32Pair::first, &U32Pair::second> {};
+
 namespace {
 
 // Process-unique cache root, removed on destruction.
@@ -256,29 +268,27 @@ TEST(DiskCacheTest, PodVectorAndRngStateCodecsRoundTrip) {
   (void)rng.NextGaussian();  // odd draw count: have_gaussian set
   const Rng::State state = rng.SaveState();
 
+  using Frontier = std::vector<std::pair<uint64_t, uint64_t>>;
   RecordBuilder rec;
-  EncodePodVector(rec, degrees);
-  EncodePodVector(rec, frontier);
-  EncodePodVector(rec, empty);
-  EncodeRngState(rec, state);
+  CacheCodec<std::vector<uint32_t>>::Encode(degrees, rec);
+  CacheCodec<Frontier>::Encode(frontier, rec);
+  CacheCodec<std::vector<double>>::Encode(empty, rec);
+  CacheCodec<Rng::State>::Encode(state, rec);
 
   RecordParser parser(rec.str());
-  std::vector<uint32_t> degrees2;
-  std::vector<std::pair<uint64_t, uint64_t>> frontier2;
-  std::vector<double> empty2 = {1.0};  // must be cleared by decode
-  Rng::State state2;
-  EXPECT_TRUE(DecodePodVector(parser, &degrees2));
-  EXPECT_TRUE(DecodePodVector(parser, &frontier2));
-  EXPECT_TRUE(DecodePodVector(parser, &empty2));
-  EXPECT_TRUE(DecodeRngState(parser, &state2));
+  const auto degrees2 = CacheCodec<std::vector<uint32_t>>::Decode(parser);
+  const auto frontier2 = CacheCodec<Frontier>::Decode(parser);
+  const auto empty2 = CacheCodec<std::vector<double>>::Decode(parser);
+  const auto state2 = CacheCodec<Rng::State>::Decode(parser);
   EXPECT_TRUE(parser.done());
-  EXPECT_EQ(degrees2, degrees);
-  EXPECT_EQ(frontier2, frontier);
-  EXPECT_TRUE(empty2.empty());
+  ASSERT_TRUE(degrees2 && frontier2 && empty2 && state2);
+  EXPECT_EQ(*degrees2, degrees);
+  EXPECT_EQ(*frontier2, frontier);
+  EXPECT_TRUE(empty2->empty());
 
   // The restored stream IS the saved stream.
   Rng replay(1);
-  replay.RestoreState(state2);
+  replay.RestoreState(*state2);
   EXPECT_EQ(replay.StateFingerprint(), rng.StateFingerprint());
 
   // A byte count that is not a multiple of the element size is a
@@ -286,8 +296,58 @@ TEST(DiskCacheTest, PodVectorAndRngStateCodecsRoundTrip) {
   RecordBuilder bad;
   bad.Str("12345");  // 5 bytes into uint32_t elements
   RecordParser bad_parser(bad.str());
-  std::vector<uint32_t> out;
-  EXPECT_FALSE(DecodePodVector(bad_parser, &out));
+  EXPECT_FALSE(CacheCodec<std::vector<uint32_t>>::Decode(bad_parser));
+}
+
+// Every durable value type's codec: the entry bytes decode to the value,
+// re-encoding the decoded value gives the same bytes, and a record one
+// byte short decodes to a miss (the disk tier's "recompute" signal).
+template <typename T>
+void ExpectCodecRoundTrip(const char* name, const T& value) {
+  SCOPED_TRACE(name);
+  const std::string bytes = EncodeCacheValue(value);
+  const std::optional<T> decoded = DecodeCacheValue<T>(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_TRUE(*decoded == value);
+  EXPECT_EQ(EncodeCacheValue(*decoded), bytes);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_FALSE(DecodeCacheValue<T>(bytes.substr(0, bytes.size() - 1)));
+}
+
+TEST(CacheCodecTest, EveryDurableValueTypeRoundTrips) {
+  ExpectCodecRoundTrip("uint64_t", uint64_t{0x0123456789abcdef});
+  ExpectCodecRoundTrip("double", -2.5);
+  ExpectCodecRoundTrip("vector<uint32_t>", std::vector<uint32_t>{5, 0, 17});
+  ExpectCodecRoundTrip("empty vector<double>", std::vector<double>());
+  ExpectCodecRoundTrip("vector<pair<double, double>>",
+                       std::vector<std::pair<double, double>>{{1, 2.5},
+                                                              {3, 0.25}});
+
+  const Graph g = testing::CompleteGraph(6);
+  ExpectCodecRoundTrip("NodeStats", ComputeNodeStats(g));
+  GraphStatistics stats;
+  stats.degree_histogram = {{1, 4}, {2, 1}};
+  stats.hop_plot = {6, 14, 20};
+  stats.scree = {3.5, 1.25};
+  stats.network_value = {0.75, 0.5, 0.125};
+  stats.clustering_by_degree = {{2, 0.5}};
+  ExpectCodecRoundTrip("GraphStatistics", stats);
+  ExpectCodecRoundTrip("TriangleSensitivityProfile",
+                       TriangleSensitivityProfile(g));
+  ExpectCodecRoundTrip("inexact TriangleSensitivityProfile",
+                       TriangleSensitivityProfile(9, false, {{4, 1}, {2, 6}}));
+  ExpectCodecRoundTrip("GraphFeatures", GraphFeatures{15, 60, 20, 80.5});
+  ExpectCodecRoundTrip("KronMomResult",
+                       KronMomResult{{0.9, 0.5, 0.2}, 0.125, 9, true});
+  const KronFitResult fit{{0.95, 0.6, 0.3}, -1234.5, 10};
+  ExpectCodecRoundTrip("KronFitResult", fit);
+
+  Rng rng(7);
+  (void)rng.NextGaussian();  // have_gaussian set
+  ExpectCodecRoundTrip("RngReplayEntry<GraphStatistics>",
+                       RngReplayEntry<GraphStatistics>{stats, rng.SaveState()});
+  ExpectCodecRoundTrip("RngReplayEntry<KronFitResult>",
+                       RngReplayEntry<KronFitResult>{fit, rng.SaveState()});
 }
 
 // ------------------------------------------------- StatCache disk tier
@@ -301,19 +361,10 @@ TEST(StatCacheDiskTierTest, DurableEntrySurvivesAProcessRestart) {
 
   int computes = 0;
   auto get = [&] {
-    return StatCache::Instance().GetOrComputeDurable<std::vector<uint32_t>>(
-        "test_vec", 11,
-        [&] {
+    return StatCache::Instance().GetOrCompute<std::vector<uint32_t>>(
+        "test_vec", 11, [&] {
           ++computes;
           return std::vector<uint32_t>{4, 5, 6};
-        },
-        [](const std::vector<uint32_t>& v, RecordBuilder& rec) {
-          EncodePodVector(rec, v);
-        },
-        [](RecordParser& rec) -> std::optional<std::vector<uint32_t>> {
-          std::vector<uint32_t> v;
-          if (!DecodePodVector(rec, &v)) return std::nullopt;
-          return v;
         });
   };
 
@@ -342,18 +393,10 @@ TEST(StatCacheDiskTierTest, CorruptEntryRecomputesAndRewrites) {
 
   int computes = 0;
   auto get = [&] {
-    return StatCache::Instance().GetOrComputeDurable<uint64_t>(
-        "test_u64", 3,
-        [&] {
-          ++computes;
-          return uint64_t{777};
-        },
-        [](uint64_t v, RecordBuilder& rec) { rec.U64(v); },
-        [](RecordParser& rec) -> std::optional<uint64_t> {
-          const uint64_t v = rec.U64();
-          if (!rec.ok()) return std::nullopt;
-          return v;
-        });
+    return StatCache::Instance().GetOrCompute<uint64_t>("test_u64", 3, [&] {
+      ++computes;
+      return uint64_t{777};
+    });
   };
   (void)get();
   ASSERT_EQ(computes, 1);
@@ -388,22 +431,11 @@ TEST(StatCacheDiskTierTest, ADecoderShortReadIsADiskMissNotAWrongValue) {
   ASSERT_TRUE(disk->Store("test_pair", 6, half.str()).ok());
 
   int computes = 0;
-  const auto value =
-      StatCache::Instance().GetOrComputeDurable<std::pair<uint32_t, uint32_t>>(
-          "test_pair", 6,
-          [&] {
-            ++computes;
-            return std::make_pair(uint32_t{1}, uint32_t{2});
-          },
-          [](const std::pair<uint32_t, uint32_t>& v, RecordBuilder& rec) {
-            rec.U32(v.first).U32(v.second);
-          },
-          [](RecordParser& rec) -> std::optional<std::pair<uint32_t, uint32_t>> {
-            const uint32_t a = rec.U32();
-            const uint32_t b = rec.U32();
-            if (!rec.ok()) return std::nullopt;
-            return std::make_pair(a, b);
-          });
+  const auto value = StatCache::Instance().GetOrCompute<U32Pair>(
+      "test_pair", 6, [&] {
+        ++computes;
+        return std::make_pair(uint32_t{1}, uint32_t{2});
+      });
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(value->second, 2u);
   EXPECT_EQ(StatCache::Instance().TotalCounters().disk_misses, 1u);
@@ -417,14 +449,8 @@ TEST(StatCacheDiskTierTest, StoreFailureDegradesToComputeOnly) {
   ASSERT_TRUE(StatCache::Instance().AttachDiskTier(root.path()).ok());
 
   env.FailWrites(/*after=*/0, Status::ResourceExhausted("disk full"));
-  const auto value = StatCache::Instance().GetOrComputeDurable<uint64_t>(
-      "test_u64", 8, [] { return uint64_t{31}; },
-      [](uint64_t v, RecordBuilder& rec) { rec.U64(v); },
-      [](RecordParser& rec) -> std::optional<uint64_t> {
-        const uint64_t v = rec.U64();
-        if (!rec.ok()) return std::nullopt;
-        return v;
-      });
+  const auto value = StatCache::Instance().GetOrCompute<uint64_t>(
+      "test_u64", 8, [] { return uint64_t{31}; });
   // The caller still gets its value; only persistence was lost.
   EXPECT_EQ(*value, 31u);
   env.ClearFaults();
@@ -448,12 +474,12 @@ TEST(StatCacheDiskTierTest, KronFitWarmStartReplaysTheRngStream) {
   ScopedCache cache;
   ASSERT_TRUE(StatCache::Instance().AttachDiskTier(root.path()).ok());
   Rng cold_rng(42);
-  (void)FitKronFitCached(g, cold_rng, options);
+  (void)FitKronFit(g, cold_rng, options);
   ASSERT_EQ(StatCache::Instance().TotalCounters().disk_misses, 1u);
 
   StatCache::Instance().Clear();  // restart
   Rng warm_rng(42);
-  const KronFitResult warm = FitKronFitCached(g, warm_rng, options);
+  const KronFitResult warm = FitKronFit(g, warm_rng, options);
   EXPECT_EQ(StatCache::Instance().TotalCounters().disk_hits, 1u);
   EXPECT_EQ(warm.theta.a, uncached.theta.a);
   EXPECT_EQ(warm.theta.b, uncached.theta.b);
@@ -505,19 +531,10 @@ TEST(StatCacheEvictionTest, EvictedEntriesReloadFromDiskBitIdentically) {
 
   int computes = 0;
   auto get = [&](uint64_t key) {
-    return StatCache::Instance().GetOrComputeDurable<std::vector<uint64_t>>(
-        "test_vec", key,
-        [&] {
+    return StatCache::Instance().GetOrCompute<std::vector<uint64_t>>(
+        "test_vec", key, [&] {
           ++computes;
           return std::vector<uint64_t>(256, key);
-        },
-        [](const std::vector<uint64_t>& v, RecordBuilder& rec) {
-          EncodePodVector(rec, v);
-        },
-        [](RecordParser& rec) -> std::optional<std::vector<uint64_t>> {
-          std::vector<uint64_t> v;
-          if (!DecodePodVector(rec, &v)) return std::nullopt;
-          return v;
         });
   };
   // A budget that holds one ~2KiB value at a time: every get evicts the

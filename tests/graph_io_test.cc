@@ -11,25 +11,12 @@
 #include <gtest/gtest.h>
 #include "src/common/env.h"
 #include "src/common/fnv.h"
-#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/graph/degree.h"
 #include "tests/test_util.h"
 
 namespace dpkron {
 namespace {
-
-// Restores the ambient pool width on scope exit (thread-sweep tests).
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int threads) : saved_(ParallelThreadCount()) {
-    SetParallelThreadCount(threads);
-  }
-  ~ScopedThreads() { SetParallelThreadCount(saved_); }
-
- private:
-  int saved_;
-};
 
 bool SameCsr(GraphView a, GraphView b) {
   return std::vector<uint32_t>(a.Offsets().begin(), a.Offsets().end()) ==
@@ -240,7 +227,7 @@ TEST(ParallelParseTest, BitIdenticalToSerialAcrossThreadCounts) {
   options.chunk_bytes = 4096;  // hundreds of chunks over this input
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE(threads);
-    ScopedThreads scope(threads);
+    testing::ScopedThreadCount scope(threads);
     const auto parallel = ParseEdgeList(text, options);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     EXPECT_TRUE(SameCsr(parallel.value(), serial.value()));
@@ -619,7 +606,7 @@ TEST(IngestionRoundTripTest, AllRoutesProduceIdenticalCsr) {
     EdgeListParseOptions options;
     options.chunk_bytes = 512;
     for (int threads : {2, 8}) {
-      ScopedThreads scope(threads);
+      testing::ScopedThreadCount scope(threads);
       const auto parallel = ParseEdgeList(text, options);
       ASSERT_TRUE(parallel.ok());
       EXPECT_TRUE(SameCsr(parallel.value(), reference));

@@ -169,8 +169,8 @@ TEST(ReleasePassPlanTest, ComputeFusesTheNodeStatsFamily) {
   const ReleasePipeline pipeline(options);
   Rng compute_rng(7);
   const GraphStatistics stats =
-      pipeline.ComputeEphemeral(GraphView(g).WithPassCounter(&passes),
-                                compute_rng);
+      pipeline.Compute(GraphView(g).WithPassCounter(&passes), compute_rng,
+                       CachePolicy::kOneOff);
   ASSERT_FALSE(stats.degree_histogram.empty());
   ASSERT_FALSE(stats.clustering_by_degree.empty());
 
@@ -185,7 +185,7 @@ TEST(ReleasePassPlanTest, ComputeFusesTheNodeStatsFamily) {
   // Identical statistics with no counter attached — instrumentation is
   // observation only.
   Rng plain_rng(7);
-  EXPECT_EQ(pipeline.ComputeEphemeral(g, plain_rng), stats);
+  EXPECT_EQ(pipeline.Compute(g, plain_rng, CachePolicy::kOneOff), stats);
 }
 
 // Above the exact-BFS limit the hop plot switches to ANF: one
@@ -200,8 +200,8 @@ TEST(ReleasePassPlanTest, LargeGraphRouteUsesAnfRounds) {
   options.anf_trials = 4;
   const ReleasePipeline pipeline(options);
   Rng compute_rng(7);
-  (void)pipeline.ComputeEphemeral(GraphView(g).WithPassCounter(&passes),
-                                  compute_rng);
+  (void)pipeline.Compute(GraphView(g).WithPassCounter(&passes), compute_rng,
+                         CachePolicy::kOneOff);
   EXPECT_EQ(passes.count("node_stats"), 1u);
   EXPECT_EQ(passes.count("exact_hop_plot"), 0u);
   EXPECT_GE(passes.count("anf_round"), 1u);

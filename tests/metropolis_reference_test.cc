@@ -29,17 +29,6 @@
 namespace dpkron {
 namespace {
 
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int threads) : saved_(ParallelThreadCount()) {
-    SetParallelThreadCount(threads);
-  }
-  ~ScopedThreads() { SetParallelThreadCount(saved_); }
-
- private:
-  int saved_;
-};
-
 // A hub joined to every other observed node plus an SKG sample among the
 // rest, on 3/4 of the 2^k ids: padding to 2^k leaves the last quarter
 // isolated, so swaps between two of them have delta exactly 0 and swaps
@@ -123,7 +112,7 @@ TEST(MetropolisReferenceTest, AdvanceMatchesTextbookLoop) {
         }
       }
       for (const int threads : {1, 2, 8}) {
-        ScopedThreads scoped(threads);
+        testing::ScopedThreadCount scoped(threads);
         Rng rng(17 + k);
         MetropolisChains chains(g, k, kChains, rng);
         for (int round = 0; round < 2; ++round) {
@@ -206,7 +195,7 @@ TEST(MetropolisReferenceTest, LogLikelihoodAndGradientMatchEdgeSums) {
       }
     }
     for (const int threads : {1, 2, 8}) {
-      ScopedThreads scoped(threads);
+      testing::ScopedThreadCount scoped(threads);
       EXPECT_EQ(model.LogLikelihood(g, sigma), edge_sum - model.NoEdgeTerm())
           << "k=" << k << " threads=" << threads;
       EXPECT_EQ(model.EdgeGradient(g, sigma), gradient)

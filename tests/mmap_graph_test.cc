@@ -15,7 +15,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/core/release.h"
 #include "src/graph/graph_io.h"
@@ -48,19 +47,6 @@ class TempFile {
     std::filesystem::remove(path_ + ".dpkb.lock");
   }
   std::string path_;
-};
-
-// Restores the ambient pool size on scope exit (same idiom as
-// parallel_test.cc) so thread-count sweeps can't leak configuration.
-class ScopedThreadCount {
- public:
-  explicit ScopedThreadCount(int threads) : saved_(ParallelThreadCount()) {
-    SetParallelThreadCount(threads);
-  }
-  ~ScopedThreadCount() { SetParallelThreadCount(saved_); }
-
- private:
-  int saved_;
 };
 
 std::string ReadAll(const std::string& path) {
@@ -256,14 +242,16 @@ TEST(MmapGraphTest, StatisticsBitIdenticalAcrossBackingsAndThreads) {
   const ReleasePipeline pipeline(options);
 
   Rng baseline_rng(41);
-  ScopedThreadCount one(1);
-  const GraphStatistics baseline = pipeline.ComputeEphemeral(g, baseline_rng);
+  testing::ScopedThreadCount one(1);
+  const GraphStatistics baseline =
+      pipeline.Compute(g, baseline_rng, CachePolicy::kOneOff);
   for (const int threads : {1, 2, 8}) {
-    ScopedThreadCount scope(threads);
+    testing::ScopedThreadCount scope(threads);
     Rng ram_rng(41), map_rng(41);
-    const GraphStatistics from_ram = pipeline.ComputeEphemeral(g, ram_rng);
-    const GraphStatistics from_map =
-        pipeline.ComputeEphemeral(mapped.value()->view(), map_rng);
+    const GraphStatistics from_ram =
+        pipeline.Compute(g, ram_rng, CachePolicy::kOneOff);
+    const GraphStatistics from_map = pipeline.Compute(
+        mapped.value()->view(), map_rng, CachePolicy::kOneOff);
     EXPECT_EQ(from_ram, baseline) << threads << " threads";
     EXPECT_EQ(from_map, baseline) << threads << " threads";
   }

@@ -21,30 +21,17 @@
 #include "src/kronfit/permutation.h"
 #include "src/linalg/spmv.h"
 #include "src/skg/sampler.h"
+#include "tests/test_util.h"
 
 namespace dpkron {
 namespace {
-
-// Restores the ambient thread count when a test scope ends, so tests
-// can't leak pool configuration into each other.
-class ScopedThreadCount {
- public:
-  explicit ScopedThreadCount(int threads)
-      : saved_(ParallelThreadCount()) {
-    SetParallelThreadCount(threads);
-  }
-  ~ScopedThreadCount() { SetParallelThreadCount(saved_); }
-
- private:
-  int saved_;
-};
 
 constexpr int kThreadCounts[] = {1, 2, 8};
 
 // Runs `compute` once per thread count and requires all results equal.
 template <typename Fn>
 void ExpectThreadCountInvariant(Fn&& compute) {
-  ScopedThreadCount guard(1);
+  testing::ScopedThreadCount guard(1);
   const auto reference = compute();
   for (int threads : {2, 8}) {
     SetParallelThreadCount(threads);
@@ -59,7 +46,7 @@ Graph SampleTestGraph() {
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   for (int threads : kThreadCounts) {
-    ScopedThreadCount guard(threads);
+    testing::ScopedThreadCount guard(threads);
     const size_t n = 10007;  // prime: chunks don't divide evenly
     std::vector<std::atomic<uint32_t>> hits(n);
     for (auto& h : hits) h.store(0);
@@ -80,7 +67,7 @@ TEST(ParallelForTest, ChunkDecompositionIgnoresThreadCount) {
   EXPECT_EQ(ParallelChunkCount(100, 0), 100u);  // grain clamps to 1
 
   for (int threads : kThreadCounts) {
-    ScopedThreadCount guard(threads);
+    testing::ScopedThreadCount guard(threads);
     std::vector<std::pair<size_t, size_t>> ranges(ParallelChunkCount(1000, 96));
     ParallelForChunks(1000, 96, [&](const ParallelChunk& chunk) {
       ranges[chunk.index] = {chunk.begin, chunk.end};
@@ -94,7 +81,7 @@ TEST(ParallelForTest, ChunkDecompositionIgnoresThreadCount) {
 }
 
 TEST(ParallelForTest, NestedCallsRunSerially) {
-  ScopedThreadCount guard(4);
+  testing::ScopedThreadCount guard(4);
   std::atomic<uint64_t> total{0};
   ParallelFor(16, 1, [&](size_t) {
     // Nested section must not deadlock on the pool.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 #include "src/common/rng.h"
+#include "src/common/stat_cache.h"
 #include "src/graph/degree.h"
 #include "src/graph/hop_plot.h"
 #include "src/skg/moments.h"
@@ -114,6 +115,43 @@ TEST(ReleasePipelineTest, ExpectedIsReproducibleFromSeed) {
   const GraphStatistics a = pipeline.Expected({0.9, 0.5, 0.2}, 7, 4, rng_a);
   const GraphStatistics b = pipeline.Expected({0.9, 0.5, 0.2}, 7, 4, rng_b);
   EXPECT_EQ(a, b);
+}
+
+// The one-off policy's promise behind the sweep's memory bound: with the
+// cache enabled, a one-off Compute and Expected store nothing and move
+// no counter, yet return the reusable policy's panels and leave the rng
+// where the reusable policy leaves it.
+TEST(ReleasePipelineTest, OneOffPolicyStoresNothingAndMatchesReusable) {
+  struct ScopedCache {
+    ScopedCache() {
+      StatCache::Instance().Clear();
+      StatCache::Instance().set_enabled(true);
+    }
+    ~ScopedCache() {
+      StatCache::Instance().set_enabled(false);
+      StatCache::Instance().Clear();
+    }
+  } scoped_cache;
+  StatCache& cache = StatCache::Instance();
+  const ReleasePipeline pipeline;
+  const Initiator2 theta{0.9, 0.5, 0.2};
+  Rng sample_rng(11);
+  const Graph g = pipeline.Sample(theta, 7, sample_rng);
+
+  Rng reusable_rng(12);
+  const GraphStatistics stats = pipeline.Compute(g, reusable_rng);
+  const GraphStatistics mean = pipeline.Expected(theta, 6, 3, reusable_rng);
+  const uint64_t resident = cache.resident_bytes();
+  const auto counters = cache.DomainCounters();
+  ASSERT_GT(resident, 0u);
+
+  Rng one_off_rng(12);
+  EXPECT_EQ(pipeline.Compute(g, one_off_rng, CachePolicy::kOneOff), stats);
+  EXPECT_EQ(pipeline.Expected(theta, 6, 3, one_off_rng, CachePolicy::kOneOff),
+            mean);
+  EXPECT_EQ(one_off_rng.SaveState(), reusable_rng.SaveState());
+  EXPECT_EQ(cache.resident_bytes(), resident);
+  EXPECT_EQ(cache.DomainCounters(), counters);
 }
 
 TEST(SampleSyntheticGraphTest, MethodsProduceSimilarDensity) {

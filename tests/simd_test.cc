@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/common/simd.h"
 #include "src/dp/laplace_mechanism.h"
@@ -23,20 +22,10 @@
 #include "src/graph/triangles.h"
 #include "src/linalg/spmv.h"
 #include "src/skg/sampler.h"
+#include "tests/test_util.h"
 
 namespace dpkron {
 namespace {
-
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int threads) : saved_(ParallelThreadCount()) {
-    SetParallelThreadCount(threads);
-  }
-  ~ScopedThreads() { SetParallelThreadCount(saved_); }
-
- private:
-  int saved_;
-};
 
 // Levels to sweep: the forced fallbacks always, plus AVX2 when this
 // machine can actually run it. (On a non-AVX2 machine the sweep
@@ -96,7 +85,7 @@ TEST(SimdParityTest, TriangleKernelsExactAcrossLevelsAndThreads) {
     for (SimdLevel level : TestableLevels()) {
       ScopedSimdLevelCap cap(level);
       for (const int threads : {1, 2, 8}) {
-        ScopedThreads scoped(threads);
+        testing::ScopedThreadCount scoped(threads);
         const uint64_t count = CountTriangles(g);
         const std::vector<uint64_t> per_node = PerNodeTriangles(g);
         std::vector<uint32_t> common;
@@ -202,7 +191,7 @@ TEST(TriangleReferenceTest, MatchesAdjacencyMatrixAcrossLevelsAndThreads) {
     for (SimdLevel level : TestableLevels()) {
       ScopedSimdLevelCap cap(level);
       for (const int threads : {1, 2, 8}) {
-        ScopedThreads scoped(threads);
+        testing::ScopedThreadCount scoped(threads);
         const NodeStats stats = ComputeNodeStats(g);
         EXPECT_EQ(CountTriangles(g), ref.total)
             << "n=" << g.NumNodes() << " level=" << SimdLevelName(level)
@@ -335,7 +324,7 @@ TEST(SimdParityTest, AxpyScaleDotBitIdentical) {
     for (SimdLevel level : TestableLevels()) {
       ScopedSimdLevelCap cap(level);
       for (const int threads : {1, 2, 8}) {
-        ScopedThreads scoped(threads);
+        testing::ScopedThreadCount scoped(threads);
         std::vector<double> y = y0;
         Axpy(0.37, x, &y);
         std::vector<double> s = y0;
@@ -362,7 +351,7 @@ TEST(SimdParityTest, AnfHopPlotBitIdentical) {
   for (SimdLevel level : TestableLevels()) {
     ScopedSimdLevelCap cap(level);
     for (const int threads : {1, 2, 8}) {
-      ScopedThreads scoped(threads);
+      testing::ScopedThreadCount scoped(threads);
       Rng rng(10);
       const std::vector<uint64_t> hop_plot = ApproxHopPlot(g, rng);
       if (!reference) {

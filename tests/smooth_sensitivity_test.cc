@@ -6,7 +6,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/graph/graph_builder.h"
 #include "src/graph/triangles.h"
@@ -251,7 +250,6 @@ TEST(ProfileFrontierTest, MatchesBruteForceOnMediumGraphs) {
   graphs.push_back(SampleSkg({0.99, 0.6, 0.1}, 7, rng));
   graphs.push_back(SampleSkg({0.8, 0.6, 0.4}, 7, rng));
 
-  const int saved_threads = ParallelThreadCount();
   for (size_t index = 0; index < graphs.size(); ++index) {
     const Graph& g = graphs[index];
     const Candidates pairs = BrutePairs(g);
@@ -269,7 +267,7 @@ TEST(ProfileFrontierTest, MatchesBruteForceOnMediumGraphs) {
     const TriangleSensitivityProfile pairs_only(g.NumNodes(), true,
                                                 ParetoFrontier(pairs));
     for (int threads : {1, 2, 8}) {
-      SetParallelThreadCount(threads);
+      testing::ScopedThreadCount scope(threads);
       const TriangleSensitivityProfile profile(g);
       EXPECT_TRUE(profile.exact()) << "graph " << index;
       EXPECT_EQ(profile.frontier(), expected)
@@ -281,7 +279,6 @@ TEST(ProfileFrontierTest, MatchesBruteForceOnMediumGraphs) {
       }
     }
   }
-  SetParallelThreadCount(saved_threads);
 }
 
 // ---------------------------------------------------------------------------

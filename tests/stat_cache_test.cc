@@ -13,7 +13,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-#include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/core/scenario.h"
 #include "src/dp/smooth_sensitivity.h"
@@ -36,17 +35,6 @@ class ScopedCache {
     StatCache::Instance().set_enabled(false);
     StatCache::Instance().Clear();
   }
-};
-
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int threads) : saved_(ParallelThreadCount()) {
-    SetParallelThreadCount(threads);
-  }
-  ~ScopedThreads() { SetParallelThreadCount(saved_); }
-
- private:
-  int saved_;
 };
 
 TEST(GraphFingerprintTest, StableAcrossIdenticalCsrAndBuildRoutes) {
@@ -150,9 +138,9 @@ TEST(StatCacheTest, KronFitHitReplaysTheRngStream) {
 
   ScopedCache cache;
   Rng miss_rng(42);
-  const KronFitResult miss = FitKronFitCached(g, miss_rng, options);
+  const KronFitResult miss = FitKronFit(g, miss_rng, options);
   Rng hit_rng(42);
-  const KronFitResult hit = FitKronFitCached(g, hit_rng, options);
+  const KronFitResult hit = FitKronFit(g, hit_rng, options);
 
   EXPECT_EQ(StatCache::Instance().TotalCounters().misses, 1u);
   EXPECT_EQ(StatCache::Instance().TotalCounters().hits, 1u);
@@ -167,7 +155,7 @@ TEST(StatCacheTest, KronFitHitReplaysTheRngStream) {
   EXPECT_EQ(hit_rng.StateFingerprint(), end_state);
   // A different seed is a different key, not a wrong hit.
   Rng other_rng(43);
-  (void)FitKronFitCached(g, other_rng, options);
+  (void)FitKronFit(g, other_rng, options);
   EXPECT_EQ(StatCache::Instance().TotalCounters().misses, 2u);
 }
 
@@ -219,7 +207,7 @@ TEST(StatCacheTest, ScenarioOutputBitIdenticalCachedVsUncachedAndThreads) {
 
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE(threads);
-    ScopedThreads scope(threads);
+    testing::ScopedThreadCount scope(threads);
     EXPECT_EQ(run_json(), uncached);
   }
   std::remove(path.c_str());

@@ -16,11 +16,11 @@
 
 #include <gtest/gtest.h>
 #include "src/common/env.h"
-#include "src/common/parallel.h"
 #include "src/common/stat_cache.h"
 #include "src/datasets/preferential_attachment.h"
 #include "src/graph/graph_io.h"
 #include "src/scenarios/scenarios.h"
+#include "tests/test_util.h"
 
 namespace dpkron {
 namespace {
@@ -38,17 +38,6 @@ class SweepTest : public ::testing::Test {
     StatCache::Instance().set_byte_budget(0);
     StatCache::Instance().Clear();
   }
-};
-
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int threads) : saved_(ParallelThreadCount()) {
-    SetParallelThreadCount(threads);
-  }
-  ~ScopedThreads() { SetParallelThreadCount(saved_); }
-
- private:
-  int saved_;
 };
 
 // Process-unique fixture path: concurrent test runs from different
@@ -174,7 +163,7 @@ TEST_F(SweepTest, RunsByteIdenticalToSequentialPathAtAnyThreadCount) {
 
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE(threads);
-    ScopedThreads scope(threads);
+    testing::ScopedThreadCount scope(threads);
     StatCache::Instance().Clear();
     auto result = RunSweep(sweep);
     ASSERT_TRUE(result.ok());
@@ -368,7 +357,7 @@ TEST_F(SweepTest, InterruptedThenResumedDocumentIsByteIdentical) {
 
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE(threads);
-    ScopedThreads scope(threads);
+    testing::ScopedThreadCount scope(threads);
 
     // Uninterrupted checkpointed run — overwrites any prior checkpoint.
     SweepSpec fresh = sweep;
@@ -670,7 +659,7 @@ TEST_F(SweepTest, ShardedAndMergedDocumentIsByteIdenticalToSingleProcess) {
   bool warm_worker_hit_disk = false;
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE(threads);
-    ScopedThreads scope(threads);
+    testing::ScopedThreadCount scope(threads);
     std::vector<size_t> executions(cells, 0);
     std::vector<std::string> shard_paths;
     for (uint32_t i = 0; i < kShards; ++i) {

@@ -7,10 +7,27 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/parallel.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_builder.h"
 
 namespace dpkron::testing {
+
+// Sets the pool's thread count for one scope and restores the previous
+// count on exit.
+class ScopedThreadCount {
+ public:
+  explicit ScopedThreadCount(int threads) : saved_(ParallelThreadCount()) {
+    SetParallelThreadCount(threads);
+  }
+  ~ScopedThreadCount() { SetParallelThreadCount(saved_); }
+
+  ScopedThreadCount(const ScopedThreadCount&) = delete;
+  ScopedThreadCount& operator=(const ScopedThreadCount&) = delete;
+
+ private:
+  int saved_;
+};
 
 using EdgeList = std::vector<std::pair<Graph::NodeId, Graph::NodeId>>;
 
